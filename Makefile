@@ -1,15 +1,16 @@
 # Tiered checks. tier1 is the seed gate (ROADMAP.md); race adds the race
 # detector over the full suite — required on every PR now that the
 # experiment engine fans simulations out across goroutines. check adds a
-# gofmt cleanliness gate, a docs gate, and five explicit end-to-end gates
+# gofmt cleanliness gate, a docs gate, and six explicit end-to-end gates
 # on top of both tiers: ffdiff (fast-forward vs ticked simulation), ckdiff
 # (compiled + batched circuit kernels vs interpreted loop), serve-smoke
 # (clrserve daemon report vs direct sim.Run, byte-identical), compdiff
 # (registry-composed default memory system vs the seed, bit-identical),
+# warmdiff (runs forked from a warm snapshot vs cold warmup, bit-identical),
 # and ffbench-smoke (adaptive fast-forward must not lose to planner-off on
 # the memory-intensive profile).
 
-.PHONY: all tier1 race check fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke bench bench-ff bench-circuit report
+.PHONY: all tier1 race check fmt docs-check ffdiff ckdiff serve-smoke compdiff warmdiff ffbench-smoke bench bench-ff bench-circuit report
 
 all: check
 
@@ -94,6 +95,21 @@ serve-smoke:
 compdiff:
 	go test ./internal/sim -run 'TestDefaultComposition|TestCompositionIdentityMatrix' -count=1
 
+# warmdiff proves checkpoint-and-fork warmup (DESIGN.md §13) bit-identical
+# to cold warmup: runs forked from one shared WarmupCache equal their cold
+# twins (Result, canonical report) for three CLR fractions on three
+# profiles, a repeated fork equals the first (forks never touch the master),
+# and a Fig. 12 CSV is byte-identical with forking on and off at workers 1
+# and 4. It also runs the equivalence tests of the fork's fast paths: the
+# flat LLC Clone is a deep copy carrying statistics and LRU clock, victim
+# addresses round-trip at the largest tag the packed line allows, and the
+# dense-slice Profiler.Ranking reproduces the original map + stable-sort
+# order. Also part of `go test ./...`.
+warmdiff:
+	go test ./internal/sim -run 'TestWarmupFork' -count=1
+	go test ./internal/cache -run 'TestClone|TestVictimAddressRoundTrip' -count=1
+	go test ./internal/core -run 'TestRankingMatchesMapReference|TestRankingShorterThanFootprint|TestProfilerRanking' -count=1
+
 # ffbench-smoke is the fast-forward performance gate: a short interleaved
 # off-vs-adaptive measurement on the memory-intensive profile asserting the
 # adaptive governor keeps planner overhead from dragging throughput below
@@ -101,7 +117,7 @@ compdiff:
 ffbench-smoke:
 	go run ./cmd/ffbench -smoke -instructions 300000
 
-check: tier1 race fmt docs-check ffdiff ckdiff serve-smoke compdiff ffbench-smoke
+check: tier1 race fmt docs-check ffdiff ckdiff serve-smoke compdiff warmdiff ffbench-smoke
 
 bench:
 	go test -bench=. -benchmem -run=^$$ .

@@ -23,6 +23,16 @@ import (
 	"clrdram/internal/workload"
 )
 
+// runOne runs a SingleSpec or MixSpec through sim.Run with the given options
+// and returns its Result.
+func runOne(spec sim.Spec, opts sim.Options) (sim.Result, error) {
+	out, err := sim.Run(context.Background(), spec, sim.WithOptions(opts))
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return *out.Single, nil
+}
+
 // benchOpts is the scaled-down system configuration for figure benches.
 func benchOpts() sim.Options {
 	o := sim.DefaultOptions()
@@ -148,11 +158,11 @@ func BenchmarkFig14Power(b *testing.B) {
 	p := benchProfile("random_00")
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		base, err := sim.RunSingle(p, core.Baseline(), opts)
+		base, err := runOne(sim.SingleSpec(p, core.Baseline()), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		clr, err := sim.RunSingle(p, core.CLR(1.0), opts)
+		clr, err := runOne(sim.SingleSpec(p, core.CLR(1.0)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,11 +211,11 @@ func BenchmarkAblationEarlyTermination(b *testing.B) {
 	noET := core.CLR(1.0)
 	noET.EarlyTermination = false
 	for i := 0; i < b.N; i++ {
-		with, err := sim.RunSingle(p, core.CLR(1.0), opts)
+		with, err := runOne(sim.SingleSpec(p, core.CLR(1.0)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := sim.RunSingle(p, noET, opts)
+		without, err := runOne(sim.SingleSpec(p, noET), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +233,7 @@ func BenchmarkAblationRowHitCap(b *testing.B) {
 			opts := benchOpts()
 			opts.Mem.RowHitCap = cap
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunSingle(p, core.CLR(1.0), opts); err != nil {
+				if _, err := runOne(sim.SingleSpec(p, core.CLR(1.0)), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -240,7 +250,7 @@ func BenchmarkAblationMappingScheme(b *testing.B) {
 			opts := benchOpts()
 			opts.Mem.Scheme = scheme
 			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunSingle(p, core.Baseline(), opts); err != nil {
+				if _, err := runOne(sim.SingleSpec(p, core.Baseline()), opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -332,7 +342,7 @@ func BenchmarkEndToEndSimulatedInstructions(b *testing.B) {
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSingle(p, core.CLR(1.0), opts)
+		res, err := runOne(sim.SingleSpec(p, core.CLR(1.0)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,7 +377,7 @@ func benchFastForward(b *testing.B, name string, mode sim.FFMode) {
 	b.ResetTimer()
 	var instr uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSingle(p, core.CLR(0.5), opts)
+		res, err := runOne(sim.SingleSpec(p, core.CLR(0.5)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -522,7 +532,7 @@ func BenchmarkAblationRefreshPostponement(b *testing.B) {
 			opts.Mem.MaxPostponedRefresh = postpone
 			var ipc float64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.RunSingle(p, core.CLR(1.0), opts)
+				res, err := runOne(sim.SingleSpec(p, core.CLR(1.0)), opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,6 +10,7 @@
 //	clrsim -workload random_00 -channels 2  # dual-channel system
 //	clrsim -workload 429.mcf-like -stats    # print the observability report
 //	clrsim -workload 429.mcf-like -stats-out report.json
+//	clrsim -workload 429.mcf-like -cpuprofile cpu.pprof
 //	clrsim -list
 //
 // -stats collects the full observability layer (per-bank command counts,
@@ -23,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"clrdram/internal/cli"
@@ -57,6 +59,7 @@ func main() {
 		policyF  = flag.String("rowpolicy", "", "row-buffer policy: "+strings.Join(mem.RowPolicyNames(), "|")+" (default "+mem.DefaultRowPolicy+")")
 		mapperF  = flag.String("mapper", "", "address mapper for raw-address enqueue: "+strings.Join(mem.MapperNames(), "|")+" (default "+mem.DefaultMapper+")")
 		stdF     = flag.String("standard", "", "DRAM standard: "+strings.Join(dram.StandardNames(), "|")+" (default "+dram.DefaultStandard+"; fixed-timing standards require -baseline)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	)
 	flag.Parse()
 
@@ -103,6 +106,18 @@ func main() {
 		opts.FastForward = sim.FFOff
 	default:
 		fatal(fmt.Errorf("-fastforward must be adaptive, on or off, got %q", *ffMode))
+	}
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	// Ctrl-C / SIGTERM cancels the run cleanly through the context-aware

@@ -5,6 +5,7 @@
 //	ffbench -out -                  print the report to stdout
 //	ffbench -smoke                  short CI gate: adaptive must not lose to
 //	                                planner-off on the memory-intensive profile
+//	ffbench -cpuprofile cpu.pprof   also write a CPU profile of the whole run
 //
 // Each profile runs the identical simulation under the three fast-forward
 // modes (off, on, adaptive — bit-identical results by the ffdiff contract;
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"clrdram/internal/cli"
@@ -117,8 +119,21 @@ func main() {
 		smoke  = flag.Bool("smoke", false, "short CI gate: assert adaptive throughput ≥ planner-off on the memory-intensive profile, no report file")
 		instrs = flag.Uint64("instructions", 1_000_000, "instructions per measured run")
 		rounds = flag.Int("rounds", 5, "interleaved measurement rounds (per-mode minima)")
+		prof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	)
 	flag.Parse()
+
+	if *prof != "" {
+		f, err := os.Create(*prof)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	if *smoke {
 		if err := runSmoke(*instrs, logf); err != nil {

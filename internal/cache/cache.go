@@ -7,8 +7,10 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config describes the cache geometry and behaviour.
@@ -40,17 +42,34 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Validate checks the geometry.
+// ErrInvalidConfig is wrapped by every error Validate returns, so callers
+// can match a rejected configuration with errors.Is.
+var ErrInvalidConfig = errors.New("cache: invalid configuration")
+
+// Validate checks the geometry. Beyond positivity and powers of two, a line
+// address must keep at least two bits below its tag (LineBytes × sets ≥ 4):
+// the tag is stored in the low 62 bits of a word whose top two bits hold the
+// valid and dirty flags.
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 {
-		return fmt.Errorf("cache: non-positive geometry %+v", c)
+		return fmt.Errorf("%w: non-positive geometry %+v", ErrInvalidConfig, c)
+	}
+	if c.HitLatency < 0 || c.MSHRs < 0 {
+		return fmt.Errorf("%w: negative hit latency %d or MSHR count %d", ErrInvalidConfig, c.HitLatency, c.MSHRs)
+	}
+	if c.LineBytes > c.SizeBytes || c.Ways > c.SizeBytes/c.LineBytes {
+		return fmt.Errorf("%w: %d ways of %d B lines exceed %d B", ErrInvalidConfig, c.Ways, c.LineBytes, c.SizeBytes)
 	}
 	sets := c.SizeBytes / (c.Ways * c.LineBytes)
-	if sets <= 0 || sets&(sets-1) != 0 {
-		return fmt.Errorf("cache: set count %d must be a positive power of two", sets)
+	if sets&(sets-1) != 0 {
+		return fmt.Errorf("%w: set count %d must be a positive power of two", ErrInvalidConfig, sets)
 	}
 	if c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache: line size %d must be a power of two", c.LineBytes)
+		return fmt.Errorf("%w: line size %d must be a power of two", ErrInvalidConfig, c.LineBytes)
+	}
+	if c.LineBytes*sets < 1<<flagBits {
+		return fmt.Errorf("%w: line size %d × %d sets leaves the tag no room below the %d flag bits",
+			ErrInvalidConfig, c.LineBytes, sets, flagBits)
 	}
 	return nil
 }
@@ -86,12 +105,27 @@ type Stats struct {
 	Writebacks uint64
 }
 
+// line is one way of a set: 16 B, so an 8-way set spans two 64 B host
+// cache lines. The valid and dirty flags live in the top two bits of the tag
+// word (Validate guarantees a tag never reaches them), which also makes the
+// hit check one compare: word &^ dirtyBit == tag | validBit.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
+	word uint64 // tag | validBit | dirtyBit
+	used uint64 // LRU timestamp
 }
+
+const (
+	flagBits        = 2
+	validBit uint64 = 1 << 63
+	dirtyBit uint64 = 1 << 62
+	tagMask         = dirtyBit - 1
+)
+
+func (l *line) valid() bool { return l.word&validBit != 0 }
+func (l *line) dirty() bool { return l.word&dirtyBit != 0 }
+
+// holds reports whether the line is valid and carries tag.
+func (l *line) holds(tag uint64) bool { return l.word&^dirtyBit == tag|validBit }
 
 type mshr struct {
 	lineAddr uint64
@@ -102,30 +136,30 @@ type mshr struct {
 // Cache is the LLC model.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set-major: set s is lines[s*ways : (s+1)*ways]
+	ways     int
 	setMask  uint64
+	setBits  uint
 	lineBits uint
 	tick     uint64
 	mshrs    map[uint64]*mshr
 	st       Stats
 }
 
-// New builds a cache; it panics on invalid configuration.
+// New builds a cache; it panics on invalid configuration (callers that take
+// the configuration from a user validate it first).
 func New(cfg Config) *Cache {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, nsets*cfg.Ways),
+		ways:     cfg.Ways,
 		setMask:  uint64(nsets - 1),
+		setBits:  uint(bits.TrailingZeros(uint(nsets))),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		mshrs:    make(map[uint64]*mshr),
 	}
@@ -142,7 +176,13 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.Line
 
 func (c *Cache) locate(lineAddr uint64) (set uint64, tag uint64) {
 	idx := lineAddr >> c.lineBits
-	return idx & c.setMask, idx >> uint(bits.TrailingZeros(uint(len(c.sets))))
+	return idx & c.setMask, idx >> c.setBits
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	base := int(s) * c.ways
+	return c.lines[base : base+c.ways]
 }
 
 // InflightMisses returns the number of allocated MSHRs.
@@ -157,12 +197,13 @@ func (c *Cache) Access(addr uint64, write bool, onFill func()) Outcome {
 	c.tick++
 	lineAddr := c.LineAddr(addr)
 	set, tag := c.locate(lineAddr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	ways := c.set(set)
+	for i := range ways {
+		ln := &ways[i]
+		if ln.holds(tag) {
 			ln.used = c.tick
 			if write {
-				ln.dirty = true
+				ln.word |= dirtyBit
 			}
 			c.st.Hits++
 			return Hit
@@ -202,26 +243,31 @@ func (c *Cache) Fill(lineAddr uint64) (victim uint64, needsWriteback bool) {
 	delete(c.mshrs, lineAddr)
 
 	set, tag := c.locate(lineAddr)
+	ways := c.set(set)
 	// Choose victim: invalid way first, else LRU.
 	vi := 0
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if !ln.valid {
+	for i := range ways {
+		ln := &ways[i]
+		if !ln.valid() {
 			vi = i
 			break
 		}
-		if ln.used < c.sets[set][vi].used {
+		if ln.used < ways[vi].used {
 			vi = i
 		}
 	}
-	v := &c.sets[set][vi]
-	if v.valid && v.dirty {
+	v := &ways[vi]
+	if v.valid() && v.dirty() {
 		needsWriteback = true
-		victim = c.reconstruct(set, v.tag)
+		victim = c.reconstruct(set, v.word&tagMask)
 		c.st.Writebacks++
 	}
 	c.tick++
-	*v = line{tag: tag, valid: true, dirty: m.dirty, used: c.tick}
+	word := tag | validBit
+	if m.dirty {
+		word |= dirtyBit
+	}
+	*v = line{word: word, used: c.tick}
 	for _, w := range m.waiters {
 		w()
 	}
@@ -230,7 +276,7 @@ func (c *Cache) Fill(lineAddr uint64) (victim uint64, needsWriteback bool) {
 
 // reconstruct rebuilds a line address from set index and tag.
 func (c *Cache) reconstruct(set, tag uint64) uint64 {
-	idx := tag<<uint(bits.TrailingZeros(uint(len(c.sets)))) | set
+	idx := tag<<c.setBits | set
 	return idx << c.lineBits
 }
 
@@ -239,20 +285,15 @@ func (c *Cache) reconstruct(set, tag uint64) uint64 {
 // original. It exists for checkpoint-and-fork warmup (sim's WarmupCache),
 // which snapshots the warmed LLC once and forks it across every
 // configuration of a sweep — so the statistics travel too (warmup hits and
-// misses are part of a run's reported LLC counters). Cloning with misses in
-// flight panics: an MSHR's waiters are closures over the original system.
+// misses are part of a run's reported LLC counters). The line array is one
+// flat copy (2 MiB for the default geometry). Cloning with misses in flight
+// panics: an MSHR's waiters are closures over the original system.
 func (c *Cache) Clone() *Cache {
 	if len(c.mshrs) != 0 {
 		panic(fmt.Sprintf("cache: Clone with %d misses in flight", len(c.mshrs)))
 	}
 	nc := *c
-	backing := make([]line, len(c.sets)*c.cfg.Ways)
-	nc.sets = make([][]line, len(c.sets))
-	for i := range nc.sets {
-		dst := backing[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
-		copy(dst, c.sets[i])
-		nc.sets[i] = dst
-	}
+	nc.lines = slices.Clone(c.lines)
 	nc.mshrs = make(map[uint64]*mshr)
 	return &nc
 }
@@ -260,9 +301,9 @@ func (c *Cache) Clone() *Cache {
 // Contains reports whether the line holding addr is resident (for tests).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.locate(c.LineAddr(addr))
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
+	ways := c.set(set)
+	for i := range ways {
+		if ways[i].holds(tag) {
 			return true
 		}
 	}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"errors"
+	"slices"
 	"testing"
 )
 
@@ -139,8 +141,8 @@ func TestDefaultsMatchPaperTable2(t *testing.T) {
 		t.Fatalf("defaults %+v do not match Table 2 (8 MiB, 8-way, 64 B)", cfg)
 	}
 	c := New(Config{})
-	if len(c.sets) != (8<<20)/(8*64) {
-		t.Fatalf("set count = %d", len(c.sets))
+	if sets := len(c.lines) / c.ways; sets != (8<<20)/(8*64) {
+		t.Fatalf("set count = %d", sets)
 	}
 }
 
@@ -173,4 +175,133 @@ func TestHitRateOnLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVictimAddressRoundTripMaxTag reconstructs the line address of the
+// largest tag each geometry allows, including the smallest geometry Validate
+// accepts (LineBytes × sets = 4), where the tag reaches bit 61 — the bit just
+// below the packed valid and dirty flags.
+func TestVictimAddressRoundTripMaxTag(t *testing.T) {
+	for _, cfg := range []Config{
+		{}, // the paper's 8 MiB LLC
+		{SizeBytes: 1 << 14, Ways: 2, LineBytes: 64},
+		{SizeBytes: 4, Ways: 1, LineBytes: 4},
+		{SizeBytes: 8, Ways: 2, LineBytes: 1},
+	} {
+		c := New(cfg)
+		la := c.LineAddr(^uint64(0))
+		set, tag := c.locate(la)
+		if tag&^tagMask != 0 {
+			t.Fatalf("%+v: max tag %#x overlaps the flag bits", cfg, tag)
+		}
+		if got := c.reconstruct(set, tag); got != la {
+			t.Fatalf("%+v: reconstruct(max line %#x) = %#x", cfg, la, got)
+		}
+		// Through the public path too: dirty-fill the max line, then evict
+		// it from its set and check the writeback address.
+		c.Access(la, true, nil)
+		c.Fill(la)
+		if !c.Contains(la) {
+			t.Fatalf("%+v: max line not resident after fill", cfg)
+		}
+		stride := uint64(c.cfg.LineBytes) << c.setBits // same set, next tag down
+		var victim uint64
+		var wb bool
+		for w := 1; w <= c.ways && !wb; w++ {
+			a := la - uint64(w)*stride
+			c.Access(a, false, nil)
+			victim, wb = c.Fill(a)
+		}
+		if !wb || victim != la {
+			t.Fatalf("%+v: evicting the max line: wb=%v victim=%#x, want %#x", cfg, wb, victim, la)
+		}
+	}
+}
+
+// TestValidateRejects checks each rejected geometry returns an error that
+// wraps ErrInvalidConfig.
+func TestValidateRejects(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"zero size":          {SizeBytes: 0, Ways: 8, LineBytes: 64},
+		"negative ways":      {SizeBytes: 1 << 20, Ways: -1, LineBytes: 64},
+		"zero line":          {SizeBytes: 1 << 20, Ways: 8, LineBytes: 0},
+		"negative latency":   {SizeBytes: 1 << 20, Ways: 8, LineBytes: 64, HitLatency: -1},
+		"negative mshrs":     {SizeBytes: 1 << 20, Ways: 8, LineBytes: 64, MSHRs: -1},
+		"line over size":     {SizeBytes: 32, Ways: 1, LineBytes: 64},
+		"ways over size":     {SizeBytes: 1 << 10, Ways: 32, LineBytes: 64},
+		"overflowing ways":   {SizeBytes: 1 << 20, Ways: 1 << 62, LineBytes: 64},
+		"three ways":         {SizeBytes: 8 << 20, Ways: 3, LineBytes: 64},
+		"non-pow2 line":      {SizeBytes: 96 * 4, Ways: 1, LineBytes: 96},
+		"tag reaches flags":  {SizeBytes: 2, Ways: 1, LineBytes: 1},
+		"one line of 2 B":    {SizeBytes: 2, Ways: 1, LineBytes: 2},
+		"two sets of 1 B":    {SizeBytes: 4, Ways: 2, LineBytes: 1},
+		"one byte, one line": {SizeBytes: 1, Ways: 1, LineBytes: 1},
+	} {
+		if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: Validate(%+v) = %v, want ErrInvalidConfig", name, cfg, err)
+		}
+	}
+	for _, cfg := range []Config{
+		Config{}.Defaults(),
+		{SizeBytes: 4, Ways: 1, LineBytes: 1},
+		{SizeBytes: 4, Ways: 1, LineBytes: 4},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
+	}
+}
+
+// TestCloneIsDeepCopy checks a clone carries the master's lines, statistics
+// and LRU clock, and that mutating it leaves the master untouched.
+func TestCloneIsDeepCopy(t *testing.T) {
+	m := tiny()
+	for _, a := range []uint64{0x000, 0x100, 0x040} {
+		m.Access(a, a == 0x100, nil)
+		m.Fill(a)
+	}
+	m.Access(0x000, false, nil) // a hit, so the stats and clock move again
+	lines, st, tick := slices.Clone(m.lines), m.Stats(), m.tick
+
+	c := m.Clone()
+	if !slices.Equal(c.lines, lines) || c.Stats() != st || c.tick != tick {
+		t.Fatalf("clone differs from master: stats %+v vs %+v, tick %d vs %d", c.Stats(), st, c.tick, tick)
+	}
+	// Evict the dirty 0x100 from the clone and fill new lines.
+	c.Access(0x200, true, nil)
+	c.Fill(0x200)
+	c.Access(0x300, false, nil)
+	c.Fill(0x300)
+	c.Access(0x040, true, nil)
+	if slices.Equal(c.lines, lines) {
+		t.Fatal("clone mutations did not change the clone")
+	}
+	if !slices.Equal(m.lines, lines) || m.Stats() != st || m.tick != tick {
+		t.Fatal("mutating the clone changed the master")
+	}
+	if !m.Contains(0x100) || m.Contains(0x200) {
+		t.Fatal("master residency changed through the clone")
+	}
+	// The master and an independent twin driven identically stay equal.
+	twin := m.Clone()
+	for _, cc := range []*Cache{m, twin} {
+		cc.Access(0x500, false, nil)
+		cc.Fill(0x500)
+	}
+	if !slices.Equal(m.lines, twin.lines) || m.Stats() != twin.Stats() || m.tick != twin.tick {
+		t.Fatal("identically driven master and clone diverged")
+	}
+}
+
+// TestCloneWithMissesInFlightPanics checks Clone refuses a cache whose MSHRs
+// hold waiters: those closures belong to the original system.
+func TestCloneWithMissesInFlightPanics(t *testing.T) {
+	c := tiny()
+	c.Access(0x40, false, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone with a miss in flight should panic")
+		}
+	}()
+	c.Clone()
 }

@@ -155,7 +155,7 @@ func TestBuildMappingCapacityLimits(t *testing.T) {
 }
 
 func TestProfilerRanking(t *testing.T) {
-	p := NewProfiler()
+	p := NewFootprintProfiler(4)
 	// Page 3 twice, page 1 once, page 0 never.
 	p.Record(3 * PageBytes)
 	p.Record(3*PageBytes + 64)
@@ -177,7 +177,7 @@ func TestProfilerRanking(t *testing.T) {
 
 func TestProfilerSample(t *testing.T) {
 	recs := []trace.Record{{Addr: 0}, {Addr: PageBytes}, {Addr: PageBytes}}
-	p := NewProfiler()
+	p := NewFootprintProfiler(2)
 	n := p.Sample(&trace.SliceReader{Records: recs}, 10)
 	if n != 3 {
 		t.Fatalf("Sample consumed %d, want 3 (EOF)", n)
@@ -191,8 +191,8 @@ func TestProfilerSample(t *testing.T) {
 func TestProfilerMapperEndToEnd(t *testing.T) {
 	// Profile a skewed trace, build a 25% mapping, verify the hottest pages
 	// landed in high-performance rows.
-	p := NewProfiler()
 	const pages = 64
+	p := NewFootprintProfiler(pages)
 	for i := 0; i < 1000; i++ {
 		page := uint64(i % 8) // pages 0..7 are hot
 		p.Record(page * PageBytes)

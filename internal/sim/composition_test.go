@@ -31,11 +31,11 @@ func TestDefaultCompositionUnchanged(t *testing.T) {
 	explicit.Mem.RowPolicy = mem.DefaultRowPolicy
 	explicit.Mem.Mapper = mem.DefaultMapper
 
-	zero, err := RunSingle(p, core.CLR(0.5), ffDiffOpts())
+	zero, err := runOne(SingleSpec(p, core.CLR(0.5)), ffDiffOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	named, err := RunSingle(p, core.CLR(0.5), explicit)
+	named, err := runOne(SingleSpec(p, core.CLR(0.5)), explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestCompositionIdentityMatrix(t *testing.T) {
 				on, off := opts, opts
 				on.DisableFastForward = false
 				off.DisableFastForward = true
-				ff, err := RunMix(mix, core.CLR(0.5), on)
+				ff, err := runOne(MixSpec(mix, core.CLR(0.5)), on)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ticked, err := RunMix(mix, core.CLR(0.5), off)
+				ticked, err := runOne(MixSpec(mix, core.CLR(0.5)), off)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +159,7 @@ func TestStandardLPDDR4(t *testing.T) {
 	ff, ticked := runBothWays(t, p, core.Baseline(), lp)
 	assertIdenticalResults(t, ff, ticked)
 
-	ddr4, err := RunSingle(p, core.Baseline(), ffDiffOpts())
+	ddr4, err := runOne(SingleSpec(p, core.Baseline()), ffDiffOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,11 @@ func TestFastForwardIdentityHeterogeneousMixes(t *testing.T) {
 				on, off := opts, opts
 				on.FastForward = mode
 				off.DisableFastForward = true
-				ff, err := RunMix(m, core.CLR(0.5), on)
+				ff, err := runOne(MixSpec(m, core.CLR(0.5)), on)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ticked, err := RunMix(m, core.CLR(0.5), off)
+				ticked, err := runOne(MixSpec(m, core.CLR(0.5)), off)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -60,11 +60,11 @@ func runBothWays(t *testing.T, p workload.Profile, clr core.Config, opts Options
 	on, off := opts, opts
 	on.DisableFastForward = false
 	off.DisableFastForward = true
-	ff, err := RunSingle(p, clr, on)
+	ff, err := runOne(SingleSpec(p, clr), on)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticked, err = RunSingle(p, clr, off)
+	ticked, err = runOne(SingleSpec(p, clr), off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestFastForwardIdentityMix(t *testing.T) {
 	on, off := opts, opts
 	on.DisableFastForward = false
 	off.DisableFastForward = true
-	ff, err := RunMix(mix, core.CLR(0.5), on)
+	ff, err := runOne(MixSpec(mix, core.CLR(0.5)), on)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticked, err := RunMix(mix, core.CLR(0.5), off)
+	ticked, err := runOne(MixSpec(mix, core.CLR(0.5)), off)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestFlowConservation(t *testing.T) {
 func TestMaxCyclesTimeout(t *testing.T) {
 	opts := fastOpts()
 	opts.MaxCPUCycles = 1000 // far too small to retire the target
-	res, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	res, err := runOne(SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func TestMaxCyclesTimeout(t *testing.T) {
 // and should not hurt performance.
 func TestRefreshPostponementAtSystemLevel(t *testing.T) {
 	opts := fastOpts()
-	base, err := RunSingle(randomProfile(), core.CLR(1.0), opts)
+	base, err := runOne(SingleSpec(randomProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts2 := opts
 	opts2.Mem.MaxPostponedRefresh = 2 // small budget so the short run must catch up
-	post, err := RunSingle(randomProfile(), core.CLR(1.0), opts2)
+	post, err := runOne(SingleSpec(randomProfile(), core.CLR(1.0)), opts2)
 	if err != nil {
 		t.Fatal(err)
 	}

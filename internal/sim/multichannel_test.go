@@ -10,7 +10,7 @@ import (
 func TestMultiChannelRunCompletes(t *testing.T) {
 	opts := fastOpts()
 	opts.Channels = 2
-	res, err := RunSingle(randomProfile(), core.CLR(0.5), opts)
+	res, err := runOne(SingleSpec(randomProfile(), core.CLR(0.5)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +31,13 @@ func TestTwoChannelsRelieveBandwidthBoundMixes(t *testing.T) {
 	opts := fastOpts()
 	opts.TargetInstructions = 30_000
 
-	one, err := RunMix(mix, core.Baseline(), opts)
+	one, err := runOne(MixSpec(mix, core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts2 := opts
 	opts2.Channels = 2
-	two, err := RunMix(mix, core.Baseline(), opts2)
+	two, err := runOne(MixSpec(mix, core.Baseline()), opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestMultiChannelDistributesTraffic(t *testing.T) {
 
 func TestMultiChannelEnergyAggregates(t *testing.T) {
 	opts := fastOpts()
-	base, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	base, err := runOne(SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Channels = 2
-	multi, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	multi, err := runOne(SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

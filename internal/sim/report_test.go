@@ -23,7 +23,7 @@ func reportOpts() Options {
 
 func TestRunReportPopulated(t *testing.T) {
 	p, _ := workload.ByName("random_00")
-	res, err := RunSingle(p, core.CLR(0.5), reportOpts())
+	res, err := runOne(SingleSpec(p, core.CLR(0.5)), reportOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunReportDisabledByDefault(t *testing.T) {
 	p, _ := workload.ByName("random_00")
 	o := reportOpts()
 	o.CollectStats = false
-	res, err := RunSingle(p, core.CLR(0.5), o)
+	res, err := runOne(SingleSpec(p, core.CLR(0.5)), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRunReportDisabledByDefault(t *testing.T) {
 func TestRunReportDeterministic(t *testing.T) {
 	p, _ := workload.ByName("429.mcf-like")
 	run := func() []byte {
-		res, err := RunSingle(p, core.CLR(0.25), reportOpts())
+		res, err := runOne(SingleSpec(p, core.CLR(0.25)), reportOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestFig12RowsCarryMeasuredSeries(t *testing.T) {
 
 func TestRunReportWriteFormats(t *testing.T) {
 	p, _ := workload.ByName("random_00")
-	res, err := RunSingle(p, core.CLR(1.0), reportOpts())
+	res, err := runOne(SingleSpec(p, core.CLR(1.0)), reportOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

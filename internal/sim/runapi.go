@@ -168,8 +168,8 @@ func WithTimer(t *engine.Timer) Option {
 // spec under ctx with the composed options and returns the matching Outcome
 // field. Cancellation is uniform — every inner loop (single systems and
 // engine-fanned sweeps alike) observes ctx — and every failure is a
-// *RunError carrying the run's identity. The deprecated RunSingle, RunMix,
-// RunFig12/13/15 and RunComparison functions are thin wrappers over this.
+// *RunError carrying the run's identity. RunFig12/13/15 and RunComparison
+// are thin wrappers over this with context.Background().
 func Run(ctx context.Context, spec Spec, optFns ...Option) (Outcome, error) {
 	opts := DefaultOptions()
 	for _, fn := range optFns {

@@ -3,45 +3,12 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"reflect"
 	"testing"
 
 	"clrdram/internal/core"
 	"clrdram/internal/workload"
 )
-
-// TestRunSingleSpecMatchesDeprecatedWrapper pins the migration contract: the
-// deprecated RunSingle and the new Run(SingleSpec) are the same computation.
-func TestRunSingleSpecMatchesDeprecatedWrapper(t *testing.T) {
-	p, clr := randomProfile(), core.CLR(0.5)
-	opts := ffDiffOpts()
-
-	old, err := RunSingle(p, clr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Run(context.Background(), SingleSpec(p, clr), WithOptions(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Single == nil {
-		t.Fatal("Run(SingleSpec) returned no Single outcome")
-	}
-	oldRep, newRep := old.Report, out.Single.Report
-	old.Report = nil
-	got := *out.Single
-	got.Report = nil
-	if !reflect.DeepEqual(old, got) {
-		t.Errorf("Run(SingleSpec) diverges from RunSingle:\n old: %+v\n new: %+v", old, got)
-	}
-	a, _ := json.Marshal(oldRep.Canonical())
-	b, _ := json.Marshal(newRep.Canonical())
-	if !bytes.Equal(a, b) {
-		t.Error("canonical reports diverge between RunSingle and Run(SingleSpec)")
-	}
-}
 
 // TestRunMixSpec checks the mix path populates Outcome.Single with four
 // cores' worth of results.

@@ -176,6 +176,9 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("sim: no workloads")
 	}
+	if err := opts.LLC.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: LLC: %w", err)
+	}
 	if err := clr.Validate(); err != nil {
 		return nil, err
 	}
@@ -222,7 +225,7 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		copy(rankings, ws.rankings)
 	} else {
 		for i, p := range profiles {
-			prof := core.NewProfiler()
+			prof := core.NewFootprintProfiler(p.FootprintPages)
 			prof.Sample(p.NewReader(opts.Seed+int64(i)), opts.ProfileRecords)
 			rankings[i] = prof.Ranking(p.FootprintPages)
 		}
@@ -266,9 +269,11 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		meters[ch] = meter
 	}
 
-	llc := cache.New(opts.LLC)
+	var llc *cache.Cache
 	if ws != nil {
 		llc = ws.llc.Clone()
+	} else {
+		llc = cache.New(opts.LLC)
 	}
 	s := &System{
 		opts:       opts,
@@ -353,7 +358,7 @@ func combineRankings(rankings [][]int, bases []uint64, frac float64) []int {
 		total += len(r)
 	}
 	out := make([]int, 0, total)
-	taken := make([]map[int]bool, len(rankings))
+	taken := make([][]bool, len(rankings))
 	hotN := make([]int, len(rankings))
 	maxHot := 0
 	for i, r := range rankings {
@@ -361,7 +366,7 @@ func combineRankings(rankings [][]int, bases []uint64, frac float64) []int {
 		if hotN[i] > maxHot {
 			maxHot = hotN[i]
 		}
-		taken[i] = make(map[int]bool, hotN[i])
+		taken[i] = make([]bool, len(r))
 	}
 	for pos := 0; pos < maxHot; pos++ {
 		for i, r := range rankings {

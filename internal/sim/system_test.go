@@ -1,11 +1,24 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"clrdram/internal/cache"
 	"clrdram/internal/core"
 	"clrdram/internal/workload"
 )
+
+// runOne runs a SingleSpec or MixSpec through Run with the given options
+// and returns its Result.
+func runOne(spec Spec, opts Options) (Result, error) {
+	out, err := Run(context.Background(), spec, WithOptions(opts))
+	if err != nil {
+		return Result{}, err
+	}
+	return *out.Single, nil
+}
 
 // fastOpts returns a small-but-meaningful run configuration for tests.
 func fastOpts() Options {
@@ -38,7 +51,7 @@ func cachedProfile() workload.Profile {
 }
 
 func TestBaselineRunCompletes(t *testing.T) {
-	res, err := RunSingle(randomProfile(), core.Baseline(), fastOpts())
+	res, err := runOne(SingleSpec(randomProfile(), core.Baseline()), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +76,11 @@ func TestBaselineRunCompletes(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := RunSingle(randomProfile(), core.CLR(0.5), fastOpts())
+	a, err := runOne(SingleSpec(randomProfile(), core.CLR(0.5)), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSingle(randomProfile(), core.CLR(0.5), fastOpts())
+	b, err := runOne(SingleSpec(randomProfile(), core.CLR(0.5)), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +94,11 @@ func TestCLRFullHPBeatsBaselineOnRandom(t *testing.T) {
 	// The paper's headline: memory-intensive random-access workloads gain
 	// from high-performance rows (shorter tRCD/tRAS/tRP).
 	opts := fastOpts()
-	base, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	base, err := runOne(SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clr, err := RunSingle(randomProfile(), core.CLR(1.0), opts)
+	clr, err := runOne(SingleSpec(randomProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +112,7 @@ func TestCLRSpeedupGrowsWithHPFraction(t *testing.T) {
 	opts := fastOpts()
 	prev := 0.0
 	for _, frac := range []float64{0.25, 1.0} {
-		res, err := RunSingle(randomProfile(), core.CLR(frac), opts)
+		res, err := runOne(SingleSpec(randomProfile(), core.CLR(frac)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +127,11 @@ func TestCLRSpeedupGrowsWithHPFraction(t *testing.T) {
 func TestNonIntensiveWorkloadInsensitive(t *testing.T) {
 	// A cache-resident workload barely touches DRAM: CLR gain must be small.
 	opts := fastOpts()
-	base, err := RunSingle(cachedProfile(), core.Baseline(), opts)
+	base, err := runOne(SingleSpec(cachedProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clr, err := RunSingle(cachedProfile(), core.CLR(1.0), opts)
+	clr, err := runOne(SingleSpec(cachedProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +171,7 @@ func TestMultiCoreMixRuns(t *testing.T) {
 	mix := workload.Mix{Name: "t", Profiles: [4]workload.Profile{
 		randomProfile(), streamProfile(), cachedProfile(), randomProfile(),
 	}}
-	res, err := RunMix(mix, core.CLR(0.25), opts)
+	res, err := runOne(MixSpec(mix, core.CLR(0.25)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +214,11 @@ func TestHotPageMappingUsesProfile(t *testing.T) {
 
 func TestStreamBenefitsFromCLR(t *testing.T) {
 	opts := fastOpts()
-	base, err := RunSingle(streamProfile(), core.Baseline(), opts)
+	base, err := runOne(SingleSpec(streamProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clr, err := RunSingle(streamProfile(), core.CLR(1.0), opts)
+	clr, err := runOne(SingleSpec(streamProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +230,11 @@ func TestStreamBenefitsFromCLR(t *testing.T) {
 
 func TestRefreshEnergyDropsWithCLR(t *testing.T) {
 	opts := fastOpts()
-	base, err := RunSingle(randomProfile(), core.Baseline(), opts)
+	base, err := runOne(SingleSpec(randomProfile(), core.Baseline()), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clr, err := RunSingle(randomProfile(), core.CLR(1.0), opts)
+	clr, err := runOne(SingleSpec(randomProfile(), core.CLR(1.0)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,5 +244,30 @@ func TestRefreshEnergyDropsWithCLR(t *testing.T) {
 	clrRate := clr.Energy.Refresh / float64(clr.DRAMCycles)
 	if clrRate >= baseRate {
 		t.Fatalf("refresh energy rate did not drop: %v vs %v", clrRate, baseRate)
+	}
+}
+
+// TestNewSystemRejectsInvalidLLC checks a bad LLC geometry surfaces as an
+// error wrapping cache.ErrInvalidConfig, on the cold path, on the
+// warmup-fork path (which builds its own LLC) and through Run, instead of a
+// panic inside cache.New.
+func TestNewSystemRejectsInvalidLLC(t *testing.T) {
+	for _, fork := range []bool{false, true} {
+		opts := fastOpts()
+		opts.LLC.Ways = 3
+		if fork {
+			opts.Warmup = NewWarmupCache()
+		}
+		_, err := NewSystem([]workload.Profile{randomProfile()}, core.Baseline(), opts)
+		if !errors.Is(err, cache.ErrInvalidConfig) {
+			t.Fatalf("fork=%v: NewSystem err = %v, want cache.ErrInvalidConfig", fork, err)
+		}
+	}
+	opts := fastOpts()
+	opts.LLC.LineBytes = 48
+	_, err := runOne(SingleSpec(randomProfile(), core.Baseline()), opts)
+	var re *RunError
+	if !errors.As(err, &re) || !errors.Is(err, cache.ErrInvalidConfig) {
+		t.Fatalf("Run err = %v, want *RunError wrapping cache.ErrInvalidConfig", err)
 	}
 }

@@ -88,47 +88,51 @@ func warmKey(profiles []workload.Profile, opts Options) (string, error) {
 }
 
 // buildWarmState replicates NewSystem's cold pre-measurement sequence
-// exactly — profiling with fresh readers, then core-major warmup through a
-// fresh LLC — against standalone state that the forks then copy.
+// exactly — profiling, then core-major warmup through a fresh LLC — against
+// standalone state that the forks then copy. The cold path opens two readers
+// per core with the same seed, one to profile and one to warm up and run, so
+// both see the same stream; here one reader per core serves both. It feeds
+// its first ProfileRecords records to the profiler and its first
+// WarmupRecords to the LLC, and is cloned at WarmupRecords to give the run
+// reader. The LLC sees each core's records in turn, so its state (LRU clock
+// included) matches System.warmup's core-major order.
 func buildWarmState(profiles []workload.Profile, opts Options) (*warmState, error) {
 	ws := &warmState{
 		rankings: make([][]int, len(profiles)),
 		llc:      cache.New(opts.LLC),
 		readers:  make([]trace.Reader, len(profiles)),
 	}
-	bases := make([]uint64, len(profiles))
-	var totalPages int
+	profileN, warmN := max(opts.ProfileRecords, 0), max(opts.WarmupRecords, 0)
+	var base uint64
 	for i, p := range profiles {
-		bases[i] = uint64(totalPages) * core.PageBytes
-		totalPages += p.FootprintPages
-	}
-	for i, p := range profiles {
-		prof := core.NewProfiler()
-		prof.Sample(p.NewReader(opts.Seed+int64(i)), opts.ProfileRecords)
-		ws.rankings[i] = prof.Ranking(p.FootprintPages)
-	}
-	for i, p := range profiles {
-		rd := p.NewReader(opts.Seed + int64(i))
-		if _, ok := rd.(trace.CloneableReader); !ok {
+		rd, ok := p.NewReader(opts.Seed + int64(i)).(trace.CloneableReader)
+		if !ok {
 			return nil, errWarmupNotCloneable
 		}
-		ws.readers[i] = rd
-	}
-	// Warmup in System.warmup's exact core-major order: the LLC's state
-	// (LRU clock included) depends on the interleaving.
-	for i := range ws.readers {
-		for n := 0; n < opts.WarmupRecords; n++ {
-			rec, err := ws.readers[i].Next()
+		prof := core.NewFootprintProfiler(p.FootprintPages)
+		for n := 0; n < max(profileN, warmN); n++ {
+			if n == warmN {
+				ws.readers[i] = rd.CloneReader()
+			}
+			rec, err := rd.Next()
 			if err != nil {
 				break
 			}
-			addr := bases[i] + rec.Addr
-			if ws.llc.Access(addr, rec.Write, nil) == cache.Miss {
-				if victim, wb := ws.llc.Fill(ws.llc.LineAddr(addr)); wb {
-					_ = victim // warmup writebacks carry no timing cost
+			if n < profileN {
+				prof.Record(rec.Addr)
+			}
+			if n < warmN {
+				addr := base + rec.Addr
+				if ws.llc.Access(addr, rec.Write, nil) == cache.Miss {
+					ws.llc.Fill(ws.llc.LineAddr(addr)) // warmup writebacks carry no timing cost
 				}
 			}
 		}
+		if ws.readers[i] == nil {
+			ws.readers[i] = rd
+		}
+		ws.rankings[i] = prof.Ranking(p.FootprintPages)
+		base += uint64(p.FootprintPages) * core.PageBytes
 	}
 	return ws, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clrdram/internal/core"
+	"clrdram/internal/trace"
 	"clrdram/internal/workload"
 )
 
@@ -28,11 +29,11 @@ func TestWarmupForkIdentitySingle(t *testing.T) {
 				forked, cold := ffDiffOpts(), ffDiffOpts()
 				forked.Warmup = cache
 				cold.DisableWarmupFork = true
-				got, err := RunSingle(p, core.CLR(frac), forked)
+				got, err := runOne(SingleSpec(p, core.CLR(frac)), forked)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := RunSingle(p, core.CLR(frac), cold)
+				want, err := runOne(SingleSpec(p, core.CLR(frac)), cold)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,11 +50,11 @@ func TestWarmupForkRepeatable(t *testing.T) {
 	opts := ffDiffOpts()
 	opts.Warmup = NewWarmupCache()
 	p := randomProfile()
-	first, err := RunSingle(p, core.CLR(0.5), opts)
+	first, err := runOne(SingleSpec(p, core.CLR(0.5)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunSingle(p, core.CLR(0.5), opts)
+	second, err := runOne(SingleSpec(p, core.CLR(0.5)), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +95,49 @@ func TestWarmupForkIdentityFig12CSV(t *testing.T) {
 		if !bytes.Equal(want, buf.Bytes()) {
 			t.Errorf("Fig12 CSV diverges at fork=%v workers=%d:\n want: %s\n got:  %s",
 				cfg.fork, cfg.workers, want, buf.Bytes())
+		}
+	}
+}
+
+// TestWarmupForkIdentityBudgets covers the single-pass warm build's three
+// shapes — profiling budget above, below and equal to the warmup budget —
+// on single-core runs and on a four-core mix (per-core address bases in the
+// shared LLC), including a record-backed profile whose looping reader wraps
+// around inside the budgets.
+func TestWarmupForkIdentityBudgets(t *testing.T) {
+	recs := make([]trace.Record, 700)
+	for i := range recs {
+		recs[i] = trace.Record{Bubble: 3, Addr: uint64(i*37%300) * 64, Write: i%5 == 0}
+	}
+	captured, err := workload.FromRecords("t-captured", recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := workload.Mix{Name: "t-mix", Profiles: [4]workload.Profile{
+		randomProfile(), captured, streamProfile(), cachedProfile(),
+	}}
+	specs := []Spec{
+		SingleSpec(randomProfile(), core.CLR(0.5)),
+		SingleSpec(captured, core.CLR(0.5)),
+		MixSpec(mix, core.CLR(0.25)),
+	}
+	for _, budget := range [][2]int{{3_000, 1_000}, {1_000, 3_000}, {2_000, 2_000}} {
+		for _, spec := range specs {
+			forked, cold := ffDiffOpts(), ffDiffOpts()
+			for _, o := range []*Options{&forked, &cold} {
+				o.ProfileRecords, o.WarmupRecords = budget[0], budget[1]
+			}
+			forked.Warmup = NewWarmupCache()
+			cold.DisableWarmupFork = true
+			got, err := runOne(spec, forked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runOne(spec, cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdenticalResults(t, got, want)
 		}
 	}
 }
