@@ -10,7 +10,7 @@
 //	clrsim -workload random_00 -channels 2  # dual-channel system
 //	clrsim -workload 429.mcf-like -stats    # print the observability report
 //	clrsim -workload 429.mcf-like -stats-out report.json
-//	clrsim -workload 429.mcf-like -cpuprofile cpu.pprof
+//	clrsim -workload 429.mcf-like -cpuprofile cpu.pprof -memprofile mem.pprof
 //	clrsim -list
 //
 // -stats collects the full observability layer (per-bank command counts,
@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"strings"
 
 	"clrdram/internal/cli"
@@ -59,7 +58,8 @@ func main() {
 		policyF  = flag.String("rowpolicy", "", "row-buffer policy: "+strings.Join(mem.RowPolicyNames(), "|")+" (default "+mem.DefaultRowPolicy+")")
 		mapperF  = flag.String("mapper", "", "address mapper for raw-address enqueue: "+strings.Join(mem.MapperNames(), "|")+" (default "+mem.DefaultMapper+")")
 		stdF     = flag.String("standard", "", "DRAM standard: "+strings.Join(dram.StandardNames(), "|")+" (default "+dram.DefaultStandard+"; fixed-timing standards require -baseline)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (also when the run fails)")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit (also when the run fails)")
 	)
 	flag.Parse()
 
@@ -108,17 +108,12 @@ func main() {
 		fatal(fmt.Errorf("-fastforward must be adaptive, on or off, got %q", *ffMode))
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProf, err := cli.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
 	}
+	stopProfiles = stopProf
+	defer stopProf()
 
 	// Ctrl-C / SIGTERM cancels the run cleanly through the context-aware
 	// API, and the process exits with the conventional 128+signum code
@@ -253,6 +248,11 @@ func writeReport(path string, fn func(*os.File) error) {
 // that signal caused, and 1 otherwise.
 var sigCode func() int
 
+// stopProfiles flushes the -cpuprofile and -memprofile outputs once main has
+// started them; fatal calls it because os.Exit skips deferred calls.
+var stopProfiles = func() {}
+
 func fatal(err error) {
+	stopProfiles()
 	cli.Exit("clrsim", err, sigCode)
 }

@@ -32,7 +32,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 
 	"strings"
@@ -131,31 +130,12 @@ func main() {
 	}
 	spiceOpts.BatchWidth = *ckBatch
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProf, err := cli.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
 	}
-	defer func() {
-		if *memProf == "" {
-			return
-		}
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-	}()
+	stopProfiles = stopProf
+	defer stopProf()
 
 	// Ctrl-C / SIGTERM cancels the sweeps cleanly; with -checkpoint the next
 	// invocation resumes from the completed shards, and the process exits
@@ -506,7 +486,12 @@ func printRows(f sim.Fig12Result) {
 // that signal caused, and 1 otherwise.
 var sigCode func() int
 
+// stopProfiles flushes the -cpuprofile and -memprofile outputs once main has
+// started them; fatal calls it because os.Exit skips deferred calls.
+var stopProfiles = func() {}
+
 func fatal(err error) {
+	stopProfiles()
 	cli.Exit("experiments", err, sigCode)
 }
 

@@ -6,6 +6,7 @@
 //	ffbench -smoke                  short CI gate: adaptive must not lose to
 //	                                planner-off on the memory-intensive profile
 //	ffbench -cpuprofile cpu.pprof   also write a CPU profile of the whole run
+//	ffbench -memprofile mem.pprof   also write a heap profile at exit
 //
 // Each profile runs the identical simulation under the three fast-forward
 // modes (off, on, adaptive — bit-identical results by the ffdiff contract;
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"clrdram/internal/cli"
@@ -115,25 +115,21 @@ var ffModes = []sim.FFMode{sim.FFOff, sim.FFAlways, sim.FFAdaptive}
 
 func main() {
 	var (
-		out    = flag.String("out", "BENCH_ff.json", "write the report as JSON to this file ('-' for stdout)")
-		smoke  = flag.Bool("smoke", false, "short CI gate: assert adaptive throughput ≥ planner-off on the memory-intensive profile, no report file")
-		instrs = flag.Uint64("instructions", 1_000_000, "instructions per measured run")
-		rounds = flag.Int("rounds", 5, "interleaved measurement rounds (per-mode minima)")
-		prof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		out     = flag.String("out", "BENCH_ff.json", "write the report as JSON to this file ('-' for stdout)")
+		smoke   = flag.Bool("smoke", false, "short CI gate: assert adaptive throughput ≥ planner-off on the memory-intensive profile, no report file")
+		instrs  = flag.Uint64("instructions", 1_000_000, "instructions per measured run")
+		rounds  = flag.Int("rounds", 5, "interleaved measurement rounds (per-mode minima)")
+		prof    = flag.String("cpuprofile", "", "write a CPU profile to this file (also when the run fails)")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit (also when the run fails)")
 	)
 	flag.Parse()
 
-	if *prof != "" {
-		f, err := os.Create(*prof)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProf, err := cli.StartProfiles(*prof, *memProf)
+	if err != nil {
+		fatal(err)
 	}
+	stopProfiles = stopProf
+	defer stopProf()
 
 	if *smoke {
 		if err := runSmoke(*instrs, logf); err != nil {
@@ -287,6 +283,11 @@ func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ffbench: "+format+"\n", args...)
 }
 
+// stopProfiles flushes the -cpuprofile and -memprofile outputs once main has
+// started them; fatal calls it because os.Exit skips deferred calls.
+var stopProfiles = func() {}
+
 func fatal(err error) {
+	stopProfiles()
 	cli.Exit("ffbench", err, nil)
 }

@@ -127,9 +127,18 @@ func (l *line) dirty() bool { return l.word&dirtyBit != 0 }
 // holds reports whether the line is valid and carries tag.
 func (l *line) holds(tag uint64) bool { return l.word&^dirtyBit == tag|validBit }
 
+// Waiter tags a load waiting on a line miss: the requesting core and the
+// load's slot in that core's reorder window. Fill hands each waiter of the
+// filled line to the wake function (SetWake).
+type Waiter struct {
+	Core, Slot int
+}
+
+// mshr is one entry of the miss table; waiters keeps its backing array
+// across reuses of the entry.
 type mshr struct {
 	lineAddr uint64
-	waiters  []func()
+	waiters  []Waiter
 	dirty    bool // a store merged into this miss: mark dirty on fill
 }
 
@@ -142,7 +151,13 @@ type Cache struct {
 	setBits  uint
 	lineBits uint
 	tick     uint64
-	mshrs    map[uint64]*mshr
+	// The miss table: mshrs[:inflight] are the allocated entries. A filled
+	// entry is swapped past the end and reused by a later miss, so the table
+	// grows only to the peak number of misses in flight (at most
+	// cfg.MSHRs) and a steady-state miss allocates nothing.
+	mshrs    []mshr
+	inflight int
+	wake     func(Waiter)
 	st       Stats
 }
 
@@ -161,9 +176,13 @@ func New(cfg Config) *Cache {
 		setMask:  uint64(nsets - 1),
 		setBits:  uint(bits.TrailingZeros(uint(nsets))),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		mshrs:    make(map[uint64]*mshr),
 	}
 }
+
+// SetWake installs the function Fill calls once per waiter of the filled
+// line, in the order the waiters merged into the miss. It must not call
+// back into the cache.
+func (c *Cache) SetWake(fn func(Waiter)) { c.wake = fn }
 
 // Config returns the (defaulted) configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -186,14 +205,26 @@ func (c *Cache) set(s uint64) []line {
 }
 
 // InflightMisses returns the number of allocated MSHRs.
-func (c *Cache) InflightMisses() int { return len(c.mshrs) }
+func (c *Cache) InflightMisses() int { return c.inflight }
+
+// findMSHR returns the index of the allocated entry fetching lineAddr, or
+// -1.
+func (c *Cache) findMSHR(lineAddr uint64) int {
+	for i := range c.mshrs[:c.inflight] {
+		if c.mshrs[i].lineAddr == lineAddr {
+			return i
+		}
+	}
+	return -1
+}
 
 // Access looks up addr. For Miss the caller must fetch c.LineAddr(addr) from
-// memory and call Fill when the data returns; onFill (if non-nil) is
-// remembered and invoked at Fill time for both Miss and MergedMiss. For Hit
-// the data is available after HitLatency CPU cycles (the caller schedules
-// that delay). write marks the line dirty (write-allocate on miss).
-func (c *Cache) Access(addr uint64, write bool, onFill func()) Outcome {
+// memory and call Fill when the data returns; w (if non-nil) is recorded
+// and handed to the wake function at Fill time for both Miss and
+// MergedMiss. For Hit the data is available after HitLatency CPU cycles
+// (the caller schedules that delay). write marks the line dirty
+// (write-allocate on miss).
+func (c *Cache) Access(addr uint64, write bool, w *Waiter) Outcome {
 	c.tick++
 	lineAddr := c.LineAddr(addr)
 	set, tag := c.locate(lineAddr)
@@ -209,9 +240,10 @@ func (c *Cache) Access(addr uint64, write bool, onFill func()) Outcome {
 			return Hit
 		}
 	}
-	if m, ok := c.mshrs[lineAddr]; ok {
-		if onFill != nil {
-			m.waiters = append(m.waiters, onFill)
+	if i := c.findMSHR(lineAddr); i >= 0 {
+		m := &c.mshrs[i]
+		if w != nil {
+			m.waiters = append(m.waiters, *w)
 		}
 		if write {
 			m.dirty = true
@@ -219,28 +251,35 @@ func (c *Cache) Access(addr uint64, write bool, onFill func()) Outcome {
 		c.st.Merged++
 		return MergedMiss
 	}
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if c.inflight >= c.cfg.MSHRs {
 		c.st.Rejected++
 		return Rejected
 	}
-	m := &mshr{lineAddr: lineAddr, dirty: write}
-	if onFill != nil {
-		m.waiters = append(m.waiters, onFill)
+	if c.inflight == len(c.mshrs) {
+		c.mshrs = append(c.mshrs, mshr{})
 	}
-	c.mshrs[lineAddr] = m
+	m := &c.mshrs[c.inflight]
+	c.inflight++
+	m.lineAddr, m.dirty, m.waiters = lineAddr, write, m.waiters[:0]
+	if w != nil {
+		m.waiters = append(m.waiters, *w)
+	}
 	c.st.Misses++
 	return Miss
 }
 
-// Fill installs a fetched line, runs all merged waiters, and returns the
-// evicted victim's line address if it was dirty (the caller must write it
-// back to memory). ok=false means no victim writeback is needed.
+// Fill installs a fetched line, hands its waiters to the wake function in
+// merge order, and returns the evicted victim's line address if it was
+// dirty (the caller must write it back to memory). needsWriteback=false
+// means no victim writeback is needed.
 func (c *Cache) Fill(lineAddr uint64) (victim uint64, needsWriteback bool) {
-	m, okm := c.mshrs[lineAddr]
-	if !okm {
+	i := c.findMSHR(lineAddr)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: Fill(%#x) without a matching MSHR", lineAddr))
 	}
-	delete(c.mshrs, lineAddr)
+	c.inflight--
+	c.mshrs[i], c.mshrs[c.inflight] = c.mshrs[c.inflight], c.mshrs[i]
+	m := &c.mshrs[c.inflight] // released, but not reused before Fill returns
 
 	set, tag := c.locate(lineAddr)
 	ways := c.set(set)
@@ -269,7 +308,7 @@ func (c *Cache) Fill(lineAddr uint64) (victim uint64, needsWriteback bool) {
 	}
 	*v = line{word: word, used: c.tick}
 	for _, w := range m.waiters {
-		w()
+		c.wake(w)
 	}
 	return victim, needsWriteback
 }
@@ -286,15 +325,17 @@ func (c *Cache) reconstruct(set, tag uint64) uint64 {
 // which snapshots the warmed LLC once and forks it across every
 // configuration of a sweep — so the statistics travel too (warmup hits and
 // misses are part of a run's reported LLC counters). The line array is one
-// flat copy (2 MiB for the default geometry). Cloning with misses in flight
-// panics: an MSHR's waiters are closures over the original system.
+// flat copy (2 MiB for the default geometry). The clone starts with an
+// empty miss table and no wake function: the forking system installs its
+// own. Cloning with misses in flight panics: their fetches are queued in
+// the original system's memory controller, which alone will fill them.
 func (c *Cache) Clone() *Cache {
-	if len(c.mshrs) != 0 {
-		panic(fmt.Sprintf("cache: Clone with %d misses in flight", len(c.mshrs)))
+	if c.inflight != 0 {
+		panic(fmt.Sprintf("cache: Clone with %d misses in flight", c.inflight))
 	}
 	nc := *c
 	nc.lines = slices.Clone(c.lines)
-	nc.mshrs = make(map[uint64]*mshr)
+	nc.mshrs, nc.wake = nil, nil
 	return &nc
 }
 

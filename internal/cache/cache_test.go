@@ -11,17 +11,24 @@ func tiny() *Cache {
 	return New(Config{SizeBytes: 512, Ways: 2, LineBytes: 64, MSHRs: 4})
 }
 
+// woken records the waiters the cache hands to its wake function.
+func woken(c *Cache) *[]Waiter {
+	var got []Waiter
+	c.SetWake(func(w Waiter) { got = append(got, w) })
+	return &got
+}
+
 func TestMissThenFillThenHit(t *testing.T) {
 	c := tiny()
-	filled := false
-	if got := c.Access(0x100, false, func() { filled = true }); got != Miss {
-		t.Fatalf("first access = %v, want miss", got)
+	got := woken(c)
+	if out := c.Access(0x100, false, &Waiter{Core: 1, Slot: 7}); out != Miss {
+		t.Fatalf("first access = %v, want miss", out)
 	}
 	if _, wb := c.Fill(c.LineAddr(0x100)); wb {
 		t.Fatal("no writeback expected on a cold fill")
 	}
-	if !filled {
-		t.Fatal("waiter not called on fill")
+	if !slices.Equal(*got, []Waiter{{Core: 1, Slot: 7}}) {
+		t.Fatalf("woken %v, want the one waiter", *got)
 	}
 	if got := c.Access(0x100, false, nil); got != Hit {
 		t.Fatalf("after fill = %v, want hit", got)
@@ -33,17 +40,16 @@ func TestMissThenFillThenHit(t *testing.T) {
 
 func TestMergedMiss(t *testing.T) {
 	c := tiny()
-	calls := 0
-	cb := func() { calls++ }
-	if got := c.Access(0x200, false, cb); got != Miss {
+	got := woken(c)
+	if out := c.Access(0x200, false, &Waiter{Core: 0, Slot: 3}); out != Miss {
 		t.Fatal("want miss")
 	}
-	if got := c.Access(0x240-0x40, false, cb); got != MergedMiss { // same line
-		t.Fatalf("second access to in-flight line = %v, want merged", got)
+	if out := c.Access(0x23f, false, &Waiter{Core: 2, Slot: 1}); out != MergedMiss { // same line
+		t.Fatalf("second access to in-flight line = %v, want merged", out)
 	}
 	c.Fill(c.LineAddr(0x200))
-	if calls != 2 {
-		t.Fatalf("waiters called %d times, want 2", calls)
+	if want := []Waiter{{Core: 0, Slot: 3}, {Core: 2, Slot: 1}}; !slices.Equal(*got, want) {
+		t.Fatalf("woken %v, want %v in merge order", *got, want)
 	}
 	st := c.Stats()
 	if st.Misses != 1 || st.Merged != 1 {
@@ -293,11 +299,44 @@ func TestCloneIsDeepCopy(t *testing.T) {
 	}
 }
 
-// TestCloneWithMissesInFlightPanics checks Clone refuses a cache whose MSHRs
-// hold waiters: those closures belong to the original system.
+// TestMSHRReuseStartsClean checks a recycled MSHR carries neither the
+// waiters nor the dirty flag of its previous miss into the next one.
+func TestMSHRReuseStartsClean(t *testing.T) {
+	c := New(Config{SizeBytes: 512, Ways: 2, LineBytes: 64, MSHRs: 1})
+	got := woken(c)
+	// A store miss with a merged load: dirty, one waiter.
+	c.Access(0x000, true, nil)
+	c.Access(0x000, false, &Waiter{Core: 0, Slot: 5})
+	c.Fill(0x000)
+	*got = nil
+	// The only MSHR is recycled for a clean load miss without waiters.
+	if out := c.Access(0x100, false, nil); out != Miss {
+		t.Fatalf("second miss = %v, want miss on the recycled MSHR", out)
+	}
+	c.Fill(0x100)
+	if len(*got) != 0 {
+		t.Fatalf("recycled MSHR woke stale waiters %v", *got)
+	}
+	// A third line in the same set evicts the LRU line (0x000, dirty);
+	// a fourth evicts 0x100, which must leave clean.
+	c.Access(0x200, false, nil)
+	if v, wb := c.Fill(0x200); !wb || v != 0x000 {
+		t.Fatalf("evicting the stored line = (%#x, %v), want a writeback of 0x0", v, wb)
+	}
+	c.Access(0x300, false, nil)
+	if v, wb := c.Fill(0x300); wb {
+		t.Fatalf("evicting 0x100 wrote back %#x: the recycled MSHR kept the dirty flag", v)
+	}
+	if c.InflightMisses() != 0 || len(c.mshrs) != 1 {
+		t.Fatalf("miss table: %d in flight, %d entries; want 0 and 1", c.InflightMisses(), len(c.mshrs))
+	}
+}
+
+// TestCloneWithMissesInFlightPanics checks Clone refuses a cache with misses
+// in flight: their fetches belong to the original system.
 func TestCloneWithMissesInFlightPanics(t *testing.T) {
 	c := tiny()
-	c.Access(0x40, false, func() {})
+	c.Access(0x40, false, &Waiter{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Clone with a miss in flight should panic")

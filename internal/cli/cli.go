@@ -1,5 +1,6 @@
 // Package cli holds the small shared plumbing of the repo's command-line
-// tools: signal-aware context cancellation with conventional exit codes.
+// tools: signal-aware context cancellation with conventional exit codes, and
+// CPU/heap profiles that survive a failing run.
 //
 // All three binaries (clrsim, experiments, clrserve) cancel their work
 // through a context when SIGINT or SIGTERM arrives; the convention for a
@@ -14,6 +15,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 	"syscall"
 )
@@ -64,4 +68,53 @@ func Exit(tool string, err error, sigCode func() int) {
 		}
 	}
 	os.Exit(1)
+}
+
+// StartProfiles starts a CPU profile written to cpuPath and arranges a heap
+// profile for memPath; an empty path skips that profile. The returned stop
+// ends the CPU profile and writes the heap profile, reporting failures on
+// stderr. It is idempotent, so a tool can both defer it for a normal return
+// and call it before Exit, whose os.Exit skips deferred calls.
+func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			if cpuFile != nil {
+				pprof.StopCPUProfile()
+				if err := cpuFile.Close(); err != nil {
+					fmt.Fprintf(os.Stderr, "cpu profile: %v\n", err)
+				}
+			}
+			if memPath != "" {
+				if err := writeHeapProfile(memPath); err != nil {
+					fmt.Fprintf(os.Stderr, "heap profile: %v\n", err)
+				}
+			}
+		})
+	}
+	return stop, nil
+}
+
+// writeHeapProfile writes an up-to-date heap profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -49,11 +49,13 @@ func (c Config) Defaults() Config {
 // MemPort is the memory system seen by a core. The system simulator
 // implements it over the LLC and memory controller.
 type MemPort interface {
-	// Load starts a load of addr for the given core. It returns false if
-	// the request cannot be accepted this cycle (MSHR/queue backpressure);
-	// the core will retry. On acceptance, onDone is called when the data is
-	// available to the core.
-	Load(core int, addr uint64, onDone func()) bool
+	// Load starts a load of addr for the given core. slot is the load's
+	// reorder-window slot: (core, slot) tags the load until it completes,
+	// and no other load of the core holds that slot meanwhile. Load returns
+	// false if the request cannot be accepted this cycle (MSHR/queue
+	// backpressure); the core will retry. On acceptance, the port must call
+	// the core's LoadDone(slot) exactly once, when the data is available.
+	Load(core, slot int, addr uint64) bool
 	// Store submits a posted store. It returns false on backpressure.
 	Store(core int, addr uint64) bool
 }
@@ -253,7 +255,7 @@ func (c *Core) issue() {
 			return // MSHR stall
 		}
 		slot := c.tail
-		if !c.port.Load(c.id, rec.Addr, c.loadDone(slot)) {
+		if !c.port.Load(c.id, slot, rec.Addr) {
 			if n == 0 {
 				c.memBlocked++
 			}
@@ -275,21 +277,20 @@ func (c *Core) insert(readyAt int64) {
 	c.count++
 }
 
-// loadDone returns the completion callback for the load occupying the given
-// window slot.
-func (c *Core) loadDone(slot int) func() {
-	return func() {
-		c.window[slot] = c.cycle
-		c.loadsInFlight--
-		for i, s := range c.loadSlots {
-			if s == slot {
-				last := len(c.loadSlots) - 1
-				c.loadSlots[i] = c.loadSlots[last]
-				c.loadSeqs[i] = c.loadSeqs[last]
-				c.loadSlots = c.loadSlots[:last]
-				c.loadSeqs = c.loadSeqs[:last]
-				break
-			}
+// LoadDone completes the load occupying the given window slot: its entry
+// becomes ready at the core's current cycle. The memory port calls it once
+// per accepted Load.
+func (c *Core) LoadDone(slot int) {
+	c.window[slot] = c.cycle
+	c.loadsInFlight--
+	for i, s := range c.loadSlots {
+		if s == slot {
+			last := len(c.loadSlots) - 1
+			c.loadSlots[i] = c.loadSlots[last]
+			c.loadSeqs[i] = c.loadSeqs[last]
+			c.loadSlots = c.loadSlots[:last]
+			c.loadSeqs = c.loadSeqs[:last]
+			break
 		}
 	}
 }

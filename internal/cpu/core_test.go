@@ -14,19 +14,20 @@ type fakePort struct {
 	loads     int
 	stores    int
 	refuseAll bool
+	core      *Core // receives LoadDone; set once the core is built
 }
 
 type fakeReq struct {
-	due    int64
-	onDone func()
+	due  int64
+	slot int
 }
 
-func (f *fakePort) Load(core int, addr uint64, onDone func()) bool {
+func (f *fakePort) Load(core, slot int, addr uint64) bool {
 	if f.refuseAll {
 		return false
 	}
 	f.loads++
-	f.pending = append(f.pending, fakeReq{due: f.cycle + f.latency, onDone: onDone})
+	f.pending = append(f.pending, fakeReq{due: f.cycle + f.latency, slot: slot})
 	return true
 }
 
@@ -43,7 +44,7 @@ func (f *fakePort) tick() {
 	kept := f.pending[:0]
 	for _, r := range f.pending {
 		if r.due <= f.cycle {
-			r.onDone()
+			f.core.LoadDone(r.slot)
 		} else {
 			kept = append(kept, r)
 		}
@@ -78,6 +79,7 @@ func TestComputeBoundIPCApproachesWidth(t *testing.T) {
 	p := &fakePort{latency: 1}
 	rd := &trace.SliceReader{Records: recordsOf(1000, 399, false), Loop: true}
 	c := New(0, Config{}, rd, p, 100_000)
+	p.core = c
 	run(t, c, p, 1_000_000)
 	ipc := c.Stats().IPC()
 	if ipc < 3.5 || ipc > 4.0 {
@@ -92,6 +94,7 @@ func TestMemoryLatencyReducesIPC(t *testing.T) {
 		p := &fakePort{latency: latency}
 		rd := &trace.SliceReader{Records: recordsOf(1000, 9, false), Loop: true}
 		c := New(0, Config{}, rd, p, 50_000)
+		p.core = c
 		run(t, c, p, 10_000_000)
 		return c.Stats().IPC()
 	}
@@ -109,6 +112,7 @@ func TestMSHRLimitCapsOutstandingLoads(t *testing.T) {
 	p := &fakePort{latency: 10_000} // loads never return during the test
 	rd := &trace.SliceReader{Records: recordsOf(100, 0, false), Loop: true}
 	c := New(0, Config{MSHRs: 8}, rd, p, 0)
+	p.core = c
 	for i := 0; i < 100; i++ {
 		c.Tick()
 	}
@@ -124,6 +128,7 @@ func TestWindowLimitCapsInflightInstructions(t *testing.T) {
 	p := &fakePort{latency: 1 << 40}
 	rd := &trace.SliceReader{Records: recordsOf(10000, 3, false), Loop: true}
 	c := New(0, Config{MSHRs: 1 << 20, WindowSize: 128}, rd, p, 0)
+	p.core = c
 	for i := 0; i < 1000; i++ {
 		c.Tick()
 	}
@@ -141,6 +146,7 @@ func TestStoresArePosted(t *testing.T) {
 	p := &fakePort{latency: 1}
 	rd := &trace.SliceReader{Records: recordsOf(1000, 4, true), Loop: true}
 	c := New(0, Config{}, rd, p, 10_000)
+	p.core = c
 	run(t, c, p, 100_000)
 	if p.stores == 0 {
 		t.Fatal("no stores reached the port")
@@ -157,6 +163,7 @@ func TestBackpressureRetries(t *testing.T) {
 	p := &fakePort{latency: 5, refuseAll: true}
 	rd := &trace.SliceReader{Records: recordsOf(10, 0, false), Loop: true}
 	c := New(0, Config{}, rd, p, 0)
+	p.core = c
 	for i := 0; i < 50; i++ {
 		c.Tick()
 		p.tick()
@@ -179,6 +186,7 @@ func TestEOFFinishesCore(t *testing.T) {
 	p := &fakePort{latency: 2}
 	rd := &trace.SliceReader{Records: recordsOf(5, 2, false)} // finite
 	c := New(0, Config{}, rd, p, 0)
+	p.core = c
 	run(t, c, p, 10_000)
 	// 5 records x (2 bubbles + 1 mem) = 15 instructions.
 	if c.Retired() != 15 {
@@ -190,6 +198,7 @@ func TestTargetFreezesStats(t *testing.T) {
 	p := &fakePort{latency: 2}
 	rd := &trace.SliceReader{Records: recordsOf(100, 1, false), Loop: true}
 	c := New(0, Config{}, rd, p, 50)
+	p.core = c
 	run(t, c, p, 10_000)
 	frozen := c.Stats()
 	// Keep running past the target: frozen stats must not change.
@@ -208,6 +217,7 @@ func TestTargetFreezesStats(t *testing.T) {
 func TestCountLLCMiss(t *testing.T) {
 	p := &fakePort{latency: 1}
 	c := New(0, Config{}, &trace.SliceReader{}, p, 0)
+	p.core = c
 	c.CountLLCMiss()
 	c.CountLLCMiss()
 	if c.Stats().LLCMisses != 2 {

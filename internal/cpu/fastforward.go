@@ -77,7 +77,7 @@ func (c *Core) FFState() FFState {
 		st.Skippable = true
 		return st
 	}
-	// All window values written by insert/loadDone are ≤ the cycle they
+	// All window values written by insert/LoadDone are ≤ the cycle they
 	// were written at, so a head entry greater than the current cycle is
 	// exactly an in-flight load (notReady).
 	headBlocked := c.count > 0 && c.window[c.head] > c.cycle

@@ -29,6 +29,7 @@ func TestInstructionConservation(t *testing.T) {
 		}
 		p := &fakePort{latency: int64(1 + rng.Intn(50))}
 		c := New(0, Config{}, &trace.SliceReader{Records: recs}, p, 0)
+		p.core = c
 		for i := 0; i < 2_000_000 && !c.Finished(); i++ {
 			c.Tick()
 			p.tick()
@@ -51,6 +52,7 @@ func TestMemAccessesMatchTraceRecords(t *testing.T) {
 	}
 	p := &fakePort{latency: 7}
 	c := New(0, Config{}, &trace.SliceReader{Records: recs}, p, 0)
+	p.core = c
 	for i := 0; i < 1_000_000 && !c.Finished(); i++ {
 		c.Tick()
 		p.tick()
@@ -75,6 +77,7 @@ func TestRetirementIsInOrder(t *testing.T) {
 	}
 	p := &selectivePort{slow: 0x100, slowLatency: 400, fastLatency: 5}
 	c := New(0, Config{}, &trace.SliceReader{Records: recs}, p, 0)
+	p.core = c
 	for i := 0; i < 100; i++ {
 		c.Tick()
 		p.tick()
@@ -99,14 +102,15 @@ type selectivePort struct {
 	slowLatency, fastLatency int64
 	cycle                    int64
 	pending                  []fakeReq
+	core                     *Core
 }
 
-func (s *selectivePort) Load(core int, addr uint64, onDone func()) bool {
+func (s *selectivePort) Load(core, slot int, addr uint64) bool {
 	lat := s.fastLatency
 	if addr == s.slow {
 		lat = s.slowLatency
 	}
-	s.pending = append(s.pending, fakeReq{due: s.cycle + lat, onDone: onDone})
+	s.pending = append(s.pending, fakeReq{due: s.cycle + lat, slot: slot})
 	return true
 }
 
@@ -117,7 +121,7 @@ func (s *selectivePort) tick() {
 	kept := s.pending[:0]
 	for _, r := range s.pending {
 		if r.due <= s.cycle {
-			r.onDone()
+			s.core.LoadDone(r.slot)
 		} else {
 			kept = append(kept, r)
 		}

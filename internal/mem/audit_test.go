@@ -177,14 +177,14 @@ func TestControllerNeverViolatesTimingUnderRandomTraffic(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(99))
 	completed := 0
+	c.SetCompletion(func(*Request, int64) { completed++ })
 	issued := 0
 	const total = 3000
 	for cycle := 0; cycle < 3_000_000 && completed < total; cycle++ {
 		if issued < total && rng.Intn(3) == 0 {
 			req := &Request{
-				Addr:       uint64(rng.Int63()) % (1 << 29),
-				Write:      rng.Intn(4) == 0,
-				OnComplete: func(int64) { completed++ },
+				Addr:  uint64(rng.Int63()) % (1 << 29),
+				Write: rng.Intn(4) == 0,
 			}
 			if c.Enqueue(req) {
 				issued++
@@ -214,6 +214,7 @@ func TestAuditBaselineTraffic(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	completed := 0
+	c.SetCompletion(func(*Request, int64) { completed++ })
 	const total = 1500
 	issued := 0
 	for cycle := 0; cycle < 2_000_000 && completed < total; cycle++ {
@@ -221,9 +222,8 @@ func TestAuditBaselineTraffic(t *testing.T) {
 			// Burstier arrival than the CLR test: stress queue pressure.
 			for k := 0; k < 2 && issued < total; k++ {
 				req := &Request{
-					Addr:       uint64(rng.Int63()) % (1 << 26), // fewer rows: more conflicts
-					Write:      rng.Intn(3) == 0,
-					OnComplete: func(int64) { completed++ },
+					Addr:  uint64(rng.Int63()) % (1 << 26), // fewer rows: more conflicts
+					Write: rng.Intn(3) == 0,
 				}
 				if c.Enqueue(req) {
 					issued++

@@ -118,13 +118,13 @@ func TestCompositionSkipVsTickedTwin(t *testing.T) {
 	run := func(t *testing.T, cfg Config, skip, eager bool) (done []completion, st Stats, clock int64) {
 		c := newTestController(t, cfg)
 		c.SetEagerHorizon(eager)
+		c.SetCompletion(func(r *Request, at int64) { done = append(done, completion{r.Core, at}) })
 		next := 0
 		for c.Clock() < end {
 			now := c.Clock()
 			for next < len(schedule) && schedule[next].cycle <= now {
 				req := schedule[next].req
-				id := next
-				req.OnComplete = func(at int64) { done = append(done, completion{id, at}) }
+				req.Core = next
 				c.Enqueue(&req)
 				next++
 			}

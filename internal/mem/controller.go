@@ -9,15 +9,13 @@ import (
 )
 
 // Request is one cache-line memory transaction submitted to the controller.
+// The submitter owns it: the controller holds it from Enqueue until it
+// hands it to the completion function (SetCompletion) and never touches it
+// afterwards, so the owner may recycle it from there on.
 type Request struct {
 	Addr  uint64 // physical byte address
 	Write bool
-	Core  int // issuing core, for per-core statistics
-
-	// OnComplete, if non-nil, is called exactly once: for reads at the
-	// device cycle the last data beat arrives, for writes at the cycle the
-	// write command issues (writes are posted).
-	OnComplete func(cycle int64)
+	Core  int // issuing core; the owner's tag for routing the completion
 
 	decoded    Address
 	enqueuedAt int64
@@ -141,6 +139,7 @@ type Controller struct {
 	refPending int       // index of stream awaiting issue, -1 if none
 
 	completions completionHeap
+	complete    func(req *Request, cycle int64)
 
 	mapper AddressMapper
 
@@ -297,6 +296,14 @@ func NewController(dev *dram.Device, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
+// SetCompletion installs the function the controller calls exactly once
+// per request: for a read at the device cycle its last data beat arrives,
+// for a write at the cycle its write command issues (writes are posted).
+// Either way the request has already left the controller's queues, and the
+// controller keeps no reference to it. With no function installed,
+// completions are dropped.
+func (c *Controller) SetCompletion(fn func(req *Request, cycle int64)) { c.complete = fn }
+
 // Mapper returns the controller's address mapper.
 func (c *Controller) Mapper() AddressMapper { return c.mapper }
 
@@ -420,6 +427,7 @@ func (c *Controller) EnqueueDecoded(req *Request, da Address) bool {
 // floor), an O(1) update instead of a queue rescan (enqueueEager).
 func (c *Controller) admit(req *Request) {
 	req.enqueuedAt = c.dev.Clock()
+	req.classified = false
 	var (
 		oldSched      int64
 		oldValid      bool
@@ -471,8 +479,8 @@ func (c *Controller) Tick() {
 	for c.completions.Len() > 0 && c.completions.Peek().cycle <= now {
 		c.ffGen++ // the heap top moves: cached joint horizons must drop
 		ev := c.completions.Pop()
-		if ev.req.OnComplete != nil {
-			ev.req.OnComplete(ev.cycle)
+		if c.complete != nil {
+			c.complete(ev.req, ev.cycle)
 		}
 	}
 
@@ -717,10 +725,7 @@ func (c *Controller) issueColumn(req *Request, now int64) (bool, int64) {
 	}
 	c.dirtyBank(req.decoded.Bank)
 	if req.Write {
-		c.st.WritesServed++
-		if req.OnComplete != nil {
-			req.OnComplete(now)
-		}
+		c.st.WritesServed++ // completes in removeAt, once it has left the queue
 	} else {
 		c.st.ReadsServed++
 		done := now + int64(c.dev.ReadLatency(req.decoded.Bank))
@@ -794,12 +799,22 @@ func (c *Controller) resetStreak(bank int) {
 	c.hitStreak[bank] = 0
 }
 
-// removeAt removes index i from q preserving order (FCFS age order).
+// removeAt removes the column-issued request at index i from q preserving
+// order (FCFS age order). A write completes here: it is posted, and firing
+// its completion only after it left the queue means the owner may recycle
+// it at once.
 func (c *Controller) removeAt(q *[]*Request, i int) {
+	req := (*q)[i]
 	if q == &c.readQ {
 		c.deqGen++
 	}
-	*q = append((*q)[:i], (*q)[i+1:]...)
+	last := len(*q) - 1
+	copy((*q)[i:], (*q)[i+1:])
+	(*q)[last] = nil
+	*q = (*q)[:last]
+	if req.Write && c.complete != nil {
+		c.complete(req, c.dev.Clock())
+	}
 }
 
 // DequeueGen returns the read-queue dequeue generation: it changes exactly
@@ -843,6 +858,7 @@ func (c *completionHeap) Pop() completion {
 	top := c.h[0]
 	last := len(c.h) - 1
 	c.h[0] = c.h[last]
+	c.h[last] = completion{}
 	c.h = c.h[:last]
 	i := 0
 	for {

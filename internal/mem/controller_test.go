@@ -32,7 +32,8 @@ func runUntil(t *testing.T, c *Controller, budget int, pred func() bool) {
 func TestReadCompletes(t *testing.T) {
 	c := newTestController(t, Config{})
 	var doneAt int64 = -1
-	req := &Request{Addr: 0x1000, OnComplete: func(cy int64) { doneAt = cy }}
+	c.SetCompletion(func(_ *Request, cy int64) { doneAt = cy })
+	req := &Request{Addr: 0x1000}
 	if !c.Enqueue(req) {
 		t.Fatal("enqueue failed on empty controller")
 	}
@@ -51,8 +52,11 @@ func TestReadCompletes(t *testing.T) {
 func TestWriteCompletesAtIssue(t *testing.T) {
 	c := newTestController(t, Config{})
 	done := false
-	req := &Request{Addr: 0x2000, Write: true, OnComplete: func(int64) { done = true }}
-	c.Enqueue(req)
+	c.SetCompletion(func(r *Request, _ int64) {
+		// A posted write completes once it has left the write queue.
+		done = r.Write && c.Pending() == 0
+	})
+	c.Enqueue(&Request{Addr: 0x2000, Write: true})
 	runUntil(t, c, 10000, func() bool { return done })
 	if c.Stats().WritesServed != 1 {
 		t.Fatal("write not counted")
@@ -62,14 +66,14 @@ func TestWriteCompletesAtIssue(t *testing.T) {
 func TestRowHitClassification(t *testing.T) {
 	c := newTestController(t, Config{})
 	done := 0
-	cb := func(int64) { done++ }
+	c.SetCompletion(func(*Request, int64) { done++ })
 	// Two reads to the same row: second should be a row hit.
-	c.Enqueue(&Request{Addr: 0x0, OnComplete: cb})
-	c.Enqueue(&Request{Addr: 0x40, OnComplete: cb})
+	c.Enqueue(&Request{Addr: 0x0})
+	c.Enqueue(&Request{Addr: 0x40})
 	// One read to a different row of the same bank: conflict after timeout
 	// or explicit precharge; since it queues immediately, it is a conflict.
 	other := c.Mapper().Encode(Address{Bank: 0, Row: 7, Column: 0})
-	c.Enqueue(&Request{Addr: other, OnComplete: cb})
+	c.Enqueue(&Request{Addr: other})
 	runUntil(t, c, 100000, func() bool { return done == 3 })
 	st := c.Stats().RowBuffer
 	if st.Misses != 1 || st.Hits != 1 || st.Conflicts != 1 {
@@ -80,9 +84,8 @@ func TestRowHitClassification(t *testing.T) {
 func TestFRFCFSPrefersRowHits(t *testing.T) {
 	c := newTestController(t, Config{RowHitCap: 100})
 	var order []int
-	mk := func(id int, addr uint64) *Request {
-		return &Request{Addr: addr, OnComplete: func(int64) { order = append(order, id) }}
-	}
+	c.SetCompletion(func(r *Request, _ int64) { order = append(order, r.Core) })
+	mk := func(id int, addr uint64) *Request { return &Request{Addr: addr, Core: id} }
 	m := c.Mapper()
 	rowA0 := m.Encode(Address{Bank: 0, Row: 0, Column: 0})
 	rowA1 := m.Encode(Address{Bank: 0, Row: 0, Column: 5})
@@ -105,9 +108,8 @@ func TestRowHitCapPreventsStarvation(t *testing.T) {
 	// older conflicting request.
 	c := newTestController(t, Config{RowHitCap: 2})
 	var order []int
-	mk := func(id int, addr uint64) *Request {
-		return &Request{Addr: addr, OnComplete: func(int64) { order = append(order, id) }}
-	}
+	c.SetCompletion(func(r *Request, _ int64) { order = append(order, r.Core) })
+	mk := func(id int, addr uint64) *Request { return &Request{Addr: addr, Core: id} }
 	m := c.Mapper()
 	open := m.Encode(Address{Bank: 0, Row: 0, Column: 0})
 	c.Enqueue(mk(0, open))
@@ -134,8 +136,9 @@ func TestRowHitCapPreventsStarvation(t *testing.T) {
 func TestWriteDrainWatermarks(t *testing.T) {
 	c := newTestController(t, Config{WriteQueueCap: 8, WriteHigh: 4, WriteLow: 1})
 	writesDone := 0
+	c.SetCompletion(func(*Request, int64) { writesDone++ })
 	for i := 0; i < 4; i++ {
-		c.Enqueue(&Request{Addr: uint64(i) * 64, Write: true, OnComplete: func(int64) { writesDone++ }})
+		c.Enqueue(&Request{Addr: uint64(i) * 64, Write: true})
 	}
 	runUntil(t, c, 100000, func() bool { return writesDone >= 3 })
 }
@@ -143,16 +146,13 @@ func TestWriteDrainWatermarks(t *testing.T) {
 func TestReadsPreferredOverWritesBelowWatermark(t *testing.T) {
 	c := newTestController(t, Config{WriteQueueCap: 64})
 	var first string
-	c.Enqueue(&Request{Addr: 0x40000, Write: true, OnComplete: func(int64) {
+	c.SetCompletion(func(r *Request, _ int64) {
 		if first == "" {
-			first = "write"
+			first = map[bool]string{true: "write", false: "read"}[r.Write]
 		}
-	}})
-	c.Enqueue(&Request{Addr: 0x0, OnComplete: func(int64) {
-		if first == "" {
-			first = "read"
-		}
-	}})
+	})
+	c.Enqueue(&Request{Addr: 0x40000, Write: true})
+	c.Enqueue(&Request{Addr: 0x0})
 	runUntil(t, c, 100000, func() bool { return first != "" })
 	if first != "read" {
 		t.Fatalf("first completion = %s, want read (writes buffered below watermark)", first)
@@ -162,7 +162,8 @@ func TestReadsPreferredOverWritesBelowWatermark(t *testing.T) {
 func TestTimeoutRowPolicy(t *testing.T) {
 	c := newTestController(t, Config{RowTimeoutNS: 120})
 	done := false
-	c.Enqueue(&Request{Addr: 0, OnComplete: func(int64) { done = true }})
+	c.SetCompletion(func(*Request, int64) { done = true })
+	c.Enqueue(&Request{Addr: 0})
 	runUntil(t, c, 10000, func() bool { return done })
 	// No further requests: the open row must close after ~120 ns.
 	runUntil(t, c, 10000, func() bool {
@@ -184,7 +185,8 @@ func TestRefreshIssued(t *testing.T) {
 	// Refresh must also work with an open row: enqueue a read, let the row
 	// stay open, refresh must still get through.
 	done := false
-	c.Enqueue(&Request{Addr: 0, OnComplete: func(int64) { done = true }})
+	c.SetCompletion(func(*Request, int64) { done = true })
+	c.Enqueue(&Request{Addr: 0})
 	runUntil(t, c, 20000, func() bool { return done })
 	before := c.Stats().Refreshes
 	runUntil(t, c, 30000, func() bool { return c.Stats().Refreshes > before })
@@ -243,7 +245,8 @@ func TestDrained(t *testing.T) {
 		t.Fatal("new controller should be drained")
 	}
 	done := false
-	c.Enqueue(&Request{Addr: 0, OnComplete: func(int64) { done = true }})
+	c.SetCompletion(func(*Request, int64) { done = true })
+	c.Enqueue(&Request{Addr: 0})
 	if c.Drained() {
 		t.Fatal("controller with queued request is not drained")
 	}
@@ -254,7 +257,7 @@ func TestManyRandomRequestsAllComplete(t *testing.T) {
 	c := newTestController(t, Config{Refresh: StandardRefresh(1.0/1.2, dram.ModeDefault, 0, 64)})
 	const n = 400
 	completed := 0
-	cb := func(int64) { completed++ }
+	c.SetCompletion(func(*Request, int64) { completed++ })
 	// Deterministic pseudo-random addresses.
 	addr := uint64(12345)
 	issued := 0
@@ -263,7 +266,7 @@ func TestManyRandomRequestsAllComplete(t *testing.T) {
 	for cycles := 0; cycles < 50_000; cycles++ {
 		if issued < n {
 			addr = addr*6364136223846793005 + 1442695040888963407
-			req := &Request{Addr: addr % (1 << 28), Write: issued%4 == 3, OnComplete: cb}
+			req := &Request{Addr: addr % (1 << 28), Write: issued%4 == 3}
 			if c.Enqueue(req) {
 				issued++
 			}
@@ -292,6 +295,7 @@ func TestRefreshPostponementDefersDuringTraffic(t *testing.T) {
 			Refresh:             []RefreshStream{{Mode: dram.ModeDefault, Interval: 2000}},
 		})
 		served := new(int)
+		c.SetCompletion(func(*Request, int64) { *served++ })
 		return c, served
 	}
 
@@ -301,7 +305,7 @@ func TestRefreshPostponementDefersDuringTraffic(t *testing.T) {
 			// Constant traffic stream.
 			if cycle%3 == 0 {
 				addr = addr*6364136223846793005 + 1442695040888963407
-				c.Enqueue(&Request{Addr: addr % (1 << 26), OnComplete: func(int64) { *served++ }})
+				c.Enqueue(&Request{Addr: addr % (1 << 26)})
 			}
 			if firstRefAt == 0 && c.Stats().Refreshes > 0 {
 				firstRefAt = c.Clock()
@@ -338,9 +342,10 @@ func TestPREAUsedForRefresh(t *testing.T) {
 		Refresh: []RefreshStream{{Mode: dram.ModeDefault, Interval: 3000}},
 	})
 	done := 0
+	c.SetCompletion(func(*Request, int64) { done++ })
 	for i := 0; i < 12; i++ {
 		addr := c.Mapper().Encode(Address{Bank: i % 16, Row: i, Column: 0})
-		c.Enqueue(&Request{Addr: addr, OnComplete: func(int64) { done++ }})
+		c.Enqueue(&Request{Addr: addr})
 	}
 	runUntil(t, c, 100000, func() bool { return done == 12 && c.Stats().Refreshes >= 2 })
 }

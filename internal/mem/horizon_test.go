@@ -123,13 +123,13 @@ func TestSkipTicksMatchesTickedTwin(t *testing.T) {
 	run := func(skip, eager bool) (done []completion, accepted int, st Stats, clock int64) {
 		c := newTestController(t, cfg)
 		c.SetEagerHorizon(eager)
+		c.SetCompletion(func(r *Request, at int64) { done = append(done, completion{r.Core, at}) })
 		next := 0
 		for c.Clock() < end {
 			now := c.Clock()
 			for next < len(schedule) && schedule[next].cycle <= now {
 				req := schedule[next].req // copy
-				id := next
-				req.OnComplete = func(at int64) { done = append(done, completion{id, at}) }
+				req.Core = next
 				if c.Enqueue(&req) {
 					accepted++
 				}

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"context"
-
-	"clrdram/internal/mem"
-)
+import "context"
 
 const (
 	// ffJointProbeStride is how many all-lagged stretch cycles pass between
@@ -48,13 +44,13 @@ const (
 //     (checked before each cycle is added to the lag);
 //   - an LLC-hit completion addressed to it (fired at the top of the cycle,
 //     before core ticks — the flush lands the core's local clock on the
-//     firing cycle, so loadDone stamps the same ready-at value the ticked
+//     firing cycle, so LoadDone stamps the same ready-at value the ticked
 //     twin would);
 //   - a memory completion addressed to it (fired inside Controller.Tick,
 //     after this cycle's core phase — the lag already includes this cycle's
 //     tick, so the flush lands the local clock one past it, again exactly
-//     the twin's value; the hook lives in sendFetch's OnComplete, before
-//     the LLC fill runs the MSHR waiters);
+//     the twin's value; the hook lives in System.complete, before the
+//     LLC fill wakes the MSHR waiters);
 //   - a read-queue dequeue on a port-blocked core's cached channel (checked
 //     after the device phase via mem.Controller.DequeueGen — the read queue
 //     only opens when a read leaves it, and reads only leave during device
@@ -115,18 +111,9 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 			if s.ffLagged[ev.core] {
 				s.flushLag(ev.core)
 			}
-			ev.fn()
+			s.cores[ev.core].LoadDone(ev.slot)
 		}
-		// Retry buffered writebacks (exactly step()'s phase).
-		for len(s.pendingWB) > 0 {
-			v := s.pendingWB[len(s.pendingWB)-1]
-			req := &mem.Request{Addr: v, Write: true}
-			ch, da := s.mapper.TranslateChannel(v)
-			if !s.ctrls[ch].EnqueueDecoded(req, da) {
-				break
-			}
-			s.pendingWB = s.pendingWB[:len(s.pendingWB)-1]
-		}
+		s.retryWritebacks() // exactly step()'s phase
 		// (Re)classify: expire caps (the boundary cycle must reclassify —
 		// possibly into a different lag class, possibly into a real tick),
 		// and retry every real core for lag eligibility.
@@ -226,7 +213,7 @@ func (s *System) runDecoupled(ctx context.Context, done func() bool, ceilings []
 		s.dramAcc += s.dramPerCPU
 		for s.dramAcc >= 1 {
 			for _, ctrl := range s.ctrls {
-				ctrl.Tick() // memory completions wake lagged cores via sendFetch's hook
+				ctrl.Tick() // memory completions wake lagged cores via System.complete
 			}
 			s.dramAcc--
 		}

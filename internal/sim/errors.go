@@ -40,3 +40,18 @@ func runErr(driver, workload string, cfg core.Config, err error) error {
 	}
 	return &RunError{Driver: driver, Workload: workload, Config: cfg, Err: err}
 }
+
+// FootprintError reports a workload set whose address-space footprint does
+// not fit the simulated DRAM (channels × banks × rows × pages per row).
+// NewSystem returns it before allocating anything sized by the footprint.
+type FootprintError struct {
+	Pages    int // total footprint of the workload set, in 4 KiB pages
+	Capacity int // simulated DRAM capacity, in 4 KiB pages
+}
+
+// Error states both sizes in pages and MiB.
+func (e *FootprintError) Error() string {
+	const pagesPerMiB = (1 << 20) / core.PageBytes
+	return fmt.Sprintf("sim: workload footprint of %d pages (%d MiB) exceeds the simulated DRAM capacity of %d pages (%d MiB)",
+		e.Pages, e.Pages/pagesPerMiB, e.Capacity, e.Capacity/pagesPerMiB)
+}

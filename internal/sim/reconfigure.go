@@ -64,51 +64,23 @@ func (s *System) Reconfigure(to core.Config) (ReconfigureResult, error) {
 	}
 	res.MigratedLines = len(queue)
 
-	type deferredWrite struct {
-		addr uint64
-		ch   int
-		da   mem.Address
-	}
-	var deferred []deferredWrite
-	inFlight := 0
+	m := &migration{next: next}
+	s.mig = m
+	defer func() { s.mig = nil }()
 	qi := 0
-	flushDeferred := func() {
-		for len(deferred) > 0 {
-			d := deferred[len(deferred)-1]
-			wr := &mem.Request{Addr: d.addr, Write: true, OnComplete: func(int64) { inFlight-- }}
-			if !s.ctrls[d.ch].EnqueueDecoded(wr, d.da) {
-				return
-			}
-			deferred = deferred[:len(deferred)-1]
-		}
-	}
-	for qi < len(queue) || inFlight > 0 || len(deferred) > 0 {
-		flushDeferred()
+	for qi < len(queue) || m.inFlight > 0 || len(m.deferred) > 0 {
+		m.flushDeferred(s)
 		// Issue as many migration reads as the controllers accept; the
 		// write to the new frame is issued by the read's completion.
 		for qi < len(queue) {
 			p := queue[qi]
 			addr := uint64(p.page)*core.PageBytes + uint64(p.line)*64
 			oldCh, oldDA := s.mapper.TranslateChannel(addr)
-			newCh, newDA := next.TranslateChannel(addr)
 			if !s.ctrls[oldCh].CanEnqueue(false) {
 				break
 			}
-			req := &mem.Request{
-				Addr: addr,
-				OnComplete: func(int64) {
-					wr := &mem.Request{Addr: addr, Write: true, OnComplete: func(int64) { inFlight-- }}
-					if !s.ctrls[newCh].EnqueueDecoded(wr, newDA) {
-						// Write queue full: defer and retry with the NEW
-						// frame coordinates each migration cycle.
-						deferred = append(deferred, deferredWrite{addr: addr, ch: newCh, da: newDA})
-					}
-				},
-			}
-			if !s.ctrls[oldCh].EnqueueDecoded(req, oldDA) {
-				break
-			}
-			inFlight++
+			s.ctrls[oldCh].EnqueueDecoded(s.newRequest(addr, false, migrationCore), oldDA)
+			m.inFlight++
 			qi++
 		}
 		s.stepMemoryOnly()
@@ -135,19 +107,42 @@ func (s *System) Reconfigure(to core.Config) (ReconfigureResult, error) {
 	return res, nil
 }
 
+// migration is Reconfigure's page copy in progress. Its reads and writes
+// carry Core = migrationCore, so System.complete routes them here: a read
+// that lands issues the copy's write to the page's new frame, and a write
+// that issues ends one line's copy.
+type migration struct {
+	next     *core.PageMapper // the mapping pages move to
+	inFlight int              // line copies whose write has not issued
+	deferred []uint64         // lines whose write found the write queue full
+}
+
+// complete handles a finished migration request.
+func (m *migration) complete(s *System, req *mem.Request) {
+	if req.Write {
+		m.inFlight--
+		return
+	}
+	if !s.enqueueWrite(m.next, req.Addr, migrationCore) {
+		// Write queue full: retry with the NEW frame coordinates each
+		// migration cycle.
+		m.deferred = append(m.deferred, req.Addr)
+	}
+}
+
+// flushDeferred resubmits deferred copy writes, newest first, until one is
+// refused again.
+func (m *migration) flushDeferred(s *System) {
+	for len(m.deferred) > 0 && s.enqueueWrite(m.next, m.deferred[len(m.deferred)-1], migrationCore) {
+		m.deferred = m.deferred[:len(m.deferred)-1]
+	}
+}
+
 // stepMemoryOnly advances one CPU cycle with the cores paused (used during
 // stop-the-world migration). The memory clock keeps its 10:3 relation so
 // migration cost is measured in CPU cycles.
 func (s *System) stepMemoryOnly() {
-	for len(s.pendingWB) > 0 {
-		v := s.pendingWB[len(s.pendingWB)-1]
-		req := &mem.Request{Addr: v, Write: true}
-		ch, da := s.mapper.TranslateChannel(v)
-		if !s.ctrls[ch].EnqueueDecoded(req, da) {
-			break
-		}
-		s.pendingWB = s.pendingWB[:len(s.pendingWB)-1]
-	}
+	s.retryWritebacks()
 	s.dramAcc += s.dramPerCPU
 	for s.dramAcc >= 1 {
 		for _, ctrl := range s.ctrls {

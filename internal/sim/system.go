@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -75,6 +74,12 @@ type System struct {
 
 	hits      hitHeap
 	pendingWB []uint64
+
+	// Request lifecycle (DESIGN.md §16): the System owns every mem.Request
+	// it submits, recycles them through reqPool, and routes each completion
+	// by its Core tag (complete). mig is non-nil only inside Reconfigure.
+	reqPool []*mem.Request
+	mig     *migration
 
 	// Scratch buffer for the fast-forward planner (see fastforward.go),
 	// plus skip accounting (FFStats).
@@ -197,10 +202,19 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 	}
 
 	// Layout: each core gets a private page-aligned region of the global
-	// address space, packed contiguously.
+	// address space, packed contiguously. The whole set must fit the
+	// simulated DRAM, checked before anything is sized by the footprint (a
+	// trace's footprint reaches its highest address, however sparse).
+	if opts.Channels < 1 {
+		return nil, fmt.Errorf("sim: need at least 1 channel, got %d", opts.Channels)
+	}
+	capacity := opts.Channels * devCfg.Banks() * devCfg.Rows * (devCfg.Columns * 64 / core.PageBytes)
 	bases := make([]uint64, len(profiles))
 	var totalPages int
 	for i, p := range profiles {
+		if p.FootprintPages > capacity-totalPages {
+			return nil, &FootprintError{Pages: totalPages + p.FootprintPages, Capacity: capacity}
+		}
 		bases[i] = uint64(totalPages) * core.PageBytes
 		totalPages += p.FootprintPages
 	}
@@ -317,6 +331,12 @@ func NewSystem(profiles []workload.Profile, clr core.Config, opts Options) (*Sys
 		s.readers[i] = rd
 		s.cores[i] = cpu.New(i, opts.CPU, rd, (*memPort)(s), opts.TargetInstructions)
 	}
+	// One completion function per System, bound here once: the request
+	// path allocates no per-request callbacks.
+	s.llc.SetWake(s.wake)
+	for _, ctrl := range ctrls {
+		ctrl.SetCompletion(s.complete)
+	}
 	if reg != nil {
 		s.ipcSeries = make([]*metrics.EpochSeries, len(s.cores))
 		for i := range s.cores {
@@ -407,11 +427,18 @@ func (s *System) warmup() {
 	}
 }
 
+// Request.Core tags of memory traffic no core issued; complete routes on
+// them.
+const (
+	writebackCore = -1 // dirty-victim writebacks
+	migrationCore = -2 // Reconfigure's page-copy reads and writes
+)
+
 // memPort adapts System to cpu.MemPort.
 type memPort System
 
 // Load implements cpu.MemPort.
-func (p *memPort) Load(coreID int, addr uint64, onDone func()) bool {
+func (p *memPort) Load(coreID, slot int, addr uint64) bool {
 	s := (*System)(p)
 	global := s.bases[coreID] + addr
 	// Conservative: require controller space before touching the cache so
@@ -420,9 +447,10 @@ func (p *memPort) Load(coreID int, addr uint64, onDone func()) bool {
 	if !s.ctrls[ch].CanEnqueue(false) {
 		return false
 	}
-	switch s.llc.Access(global, false, onDone) {
+	w := cache.Waiter{Core: coreID, Slot: slot}
+	switch s.llc.Access(global, false, &w) {
 	case cache.Hit:
-		s.hits.push(hitEvent{due: s.cpuCycle + int64(s.opts.LLC.HitLatency), core: coreID, fn: onDone})
+		s.hits.push(hitEvent{due: s.cpuCycle + int64(s.opts.LLC.HitLatency), core: coreID, slot: slot})
 		return true
 	case cache.MergedMiss:
 		return true
@@ -455,40 +483,82 @@ func (p *memPort) Store(coreID int, addr uint64) bool {
 	}
 }
 
+// wake is the LLC's wake function: a filled line's waiting load completes.
+func (s *System) wake(w cache.Waiter) { s.cores[w.Core].LoadDone(w.Slot) }
+
+// newRequest takes a request from the pool (allocating only while the pool
+// is still growing to the run's peak in-flight count) and tags it with tag
+// as its Core.
+func (s *System) newRequest(addr uint64, write bool, tag int) *mem.Request {
+	var req *mem.Request
+	if n := len(s.reqPool); n > 0 {
+		req = s.reqPool[n-1]
+		s.reqPool = s.reqPool[:n-1]
+	} else {
+		req = new(mem.Request)
+	}
+	*req = mem.Request{Addr: addr, Write: write, Core: tag}
+	return req
+}
+
+// complete is every controller's completion function. It routes a finished
+// request by its tag and returns it to the pool: the controller has already
+// let go of it (reads complete when their data arrives, writes when they
+// issue, both after leaving the queue).
+func (s *System) complete(req *mem.Request, _ int64) {
+	switch {
+	case req.Core == migrationCore:
+		s.mig.complete(s, req)
+	case !req.Write:
+		// An LLC fetch for req.Core. Wake a lagged requester BEFORE the
+		// fill wakes its waiters: LoadDone stamps the core's local cycle
+		// into the window slot, so the lag must be applied first (per-core
+		// address spaces are private — every waiter on this line belongs
+		// to req.Core).
+		if s.ffAnyLag && s.ffLagged[req.Core] {
+			s.flushLag(req.Core)
+		}
+		if victim, wb := s.llc.Fill(req.Addr); wb {
+			s.writeback(victim)
+		}
+	}
+	s.reqPool = append(s.reqPool, req)
+}
+
 // sendFetch enqueues the memory read that backs an LLC miss.
 func (s *System) sendFetch(coreID int, global uint64) {
 	line := s.llc.LineAddr(global)
-	req := &mem.Request{
-		Addr: line,
-		Core: coreID,
-		OnComplete: func(int64) {
-			// Wake a lagged requester BEFORE the fill runs its MSHR waiters:
-			// loadDone stamps the core's local cycle into the window slot,
-			// so the lag must be applied first (per-core address spaces are
-			// private — every waiter on this line belongs to coreID).
-			if s.ffAnyLag && s.ffLagged[coreID] {
-				s.flushLag(coreID)
-			}
-			if victim, wb := s.llc.Fill(line); wb {
-				s.writeback(victim)
-			}
-		},
-	}
 	ch, da := s.mapper.TranslateChannel(line)
-	if !s.ctrls[ch].EnqueueDecoded(req, da) {
+	if !s.ctrls[ch].EnqueueDecoded(s.newRequest(line, false, coreID), da) {
 		// CanEnqueue was checked by the caller in the same CPU cycle and no
 		// controller tick has happened since, so this cannot occur.
 		panic("sim: read enqueue failed after CanEnqueue")
 	}
 }
 
+// enqueueWrite submits a write of addr through mapper, tagged tag. It
+// returns false, leaving nothing queued, when the write queue is full.
+func (s *System) enqueueWrite(mapper *core.PageMapper, addr uint64, tag int) bool {
+	ch, da := mapper.TranslateChannel(addr)
+	if !s.ctrls[ch].CanEnqueue(true) {
+		return false
+	}
+	return s.ctrls[ch].EnqueueDecoded(s.newRequest(addr, true, tag), da)
+}
+
 // writeback enqueues a dirty-victim write, buffering it if the write queue
-// is full (retried every CPU cycle).
+// is full (retried every CPU cycle by retryWritebacks).
 func (s *System) writeback(victim uint64) {
-	req := &mem.Request{Addr: victim, Write: true}
-	ch, da := s.mapper.TranslateChannel(victim)
-	if !s.ctrls[ch].EnqueueDecoded(req, da) {
+	if !s.enqueueWrite(s.mapper, victim, writebackCore) {
 		s.pendingWB = append(s.pendingWB, victim)
+	}
+}
+
+// retryWritebacks resubmits buffered writebacks, newest first, until one
+// is refused again.
+func (s *System) retryWritebacks() {
+	for len(s.pendingWB) > 0 && s.enqueueWrite(s.mapper, s.pendingWB[len(s.pendingWB)-1], writebackCore) {
+		s.pendingWB = s.pendingWB[:len(s.pendingWB)-1]
 	}
 }
 
@@ -496,18 +566,10 @@ func (s *System) writeback(victim uint64) {
 func (s *System) step() {
 	// Fire due LLC-hit completions.
 	for s.hits.Len() > 0 && s.hits.peek().due <= s.cpuCycle {
-		s.hits.pop().fn()
+		ev := s.hits.pop()
+		s.cores[ev.core].LoadDone(ev.slot)
 	}
-	// Retry buffered writebacks.
-	for len(s.pendingWB) > 0 {
-		v := s.pendingWB[len(s.pendingWB)-1]
-		req := &mem.Request{Addr: v, Write: true}
-		ch, da := s.mapper.TranslateChannel(v)
-		if !s.ctrls[ch].EnqueueDecoded(req, da) {
-			break
-		}
-		s.pendingWB = s.pendingWB[:len(s.pendingWB)-1]
-	}
+	s.retryWritebacks()
 	for _, c := range s.cores {
 		c.Tick()
 	}
@@ -612,27 +674,56 @@ func (s *System) bankUtil() float64 {
 	return busy / slots
 }
 
-// hitEvent is a scheduled LLC-hit completion. core tags the requester so the
-// decoupled lag path can flush a lagged core before its completion fires.
+// hitEvent is a scheduled LLC-hit completion of the load in the given
+// core's window slot. The core tag also lets the decoupled lag path flush a
+// lagged core before its completion fires.
 type hitEvent struct {
 	due  int64
 	core int
-	fn   func()
+	slot int
 }
 
-// hitHeap is a min-heap on due cycle, via container/heap.
+// hitHeap is a min-heap on due cycle. It is typed, like mem's completion
+// heap, so pushes box nothing; its sift order is container/heap's, which
+// fixes the firing order of same-cycle hits.
 type hitHeap struct{ evs []hitEvent }
 
-func (h *hitHeap) Len() int           { return len(h.evs) }
-func (h *hitHeap) Less(i, j int) bool { return h.evs[i].due < h.evs[j].due }
-func (h *hitHeap) Swap(i, j int)      { h.evs[i], h.evs[j] = h.evs[j], h.evs[i] }
-func (h *hitHeap) Push(x any)         { h.evs = append(h.evs, x.(hitEvent)) }
-func (h *hitHeap) Pop() any {
-	last := len(h.evs) - 1
-	ev := h.evs[last]
-	h.evs = h.evs[:last]
-	return ev
+func (h *hitHeap) Len() int       { return len(h.evs) }
+func (h *hitHeap) peek() hitEvent { return h.evs[0] }
+
+func (h *hitHeap) push(ev hitEvent) {
+	h.evs = append(h.evs, ev)
+	i := len(h.evs) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.evs[parent].due <= h.evs[i].due {
+			break
+		}
+		h.evs[parent], h.evs[i] = h.evs[i], h.evs[parent]
+		i = parent
+	}
 }
-func (h *hitHeap) push(ev hitEvent) { heap.Push(h, ev) }
-func (h *hitHeap) pop() hitEvent    { return heap.Pop(h).(hitEvent) }
-func (h *hitHeap) peek() hitEvent   { return h.evs[0] }
+
+func (h *hitHeap) pop() hitEvent {
+	top := h.evs[0]
+	last := len(h.evs) - 1
+	h.evs[0] = h.evs[last]
+	h.evs = h.evs[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(h.evs) && h.evs[l].due < h.evs[smallest].due {
+			smallest = l
+		}
+		if r < len(h.evs) && h.evs[r].due < h.evs[smallest].due {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		h.evs[i], h.evs[smallest] = h.evs[smallest], h.evs[i]
+		i = smallest
+	}
+	return top
+}

@@ -7,6 +7,7 @@ import (
 
 	"clrdram/internal/cache"
 	"clrdram/internal/core"
+	"clrdram/internal/trace"
 	"clrdram/internal/workload"
 )
 
@@ -269,5 +270,39 @@ func TestNewSystemRejectsInvalidLLC(t *testing.T) {
 	var re *RunError
 	if !errors.As(err, &re) || !errors.Is(err, cache.ErrInvalidConfig) {
 		t.Fatalf("Run err = %v, want *RunError wrapping cache.ErrInvalidConfig", err)
+	}
+}
+
+// TestNewSystemRejectsOversizedFootprint checks a trace whose highest
+// address puts its footprint beyond the simulated DRAM is rejected with a
+// *FootprintError — on the cold path, the warmup-fork path and through Run
+// — before any footprint-sized allocation (this trace's would be 4 TiB).
+func TestNewSystemRejectsOversizedFootprint(t *testing.T) {
+	p, err := workload.FromRecords("sparse", []trace.Record{{Addr: 0}, {Addr: 0x7fffffffff000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fork := range []bool{false, true} {
+		opts := fastOpts()
+		if fork {
+			opts.Warmup = NewWarmupCache()
+		}
+		_, err := NewSystem([]workload.Profile{p}, core.CLR(0.5), opts)
+		var fe *FootprintError
+		if !errors.As(err, &fe) || fe.Pages != 0x7fffffffff+1 || fe.Pages <= fe.Capacity {
+			t.Fatalf("fork=%v: NewSystem err = %v, want *FootprintError for %d pages", fork, err, 0x7fffffffff+1)
+		}
+	}
+	// A mix is checked as a whole: four profiles of just over half the
+	// capacity each.
+	opts := fastOpts()
+	opts.Channels = 1
+	half := randomProfile()
+	capacity := opts.Channels * opts.Device.Banks() * opts.Device.Rows * (opts.Device.Columns * 64 / core.PageBytes)
+	half.FootprintPages = capacity/2 + 1
+	_, err = runOne(MixSpec(workload.Mix{Name: "2x", Profiles: [4]workload.Profile{half, half, half, half}}, core.Baseline()), opts)
+	var fe *FootprintError
+	if !errors.As(err, &fe) || fe.Capacity != capacity {
+		t.Fatalf("Run err = %v, want *FootprintError against capacity %d", err, capacity)
 	}
 }
